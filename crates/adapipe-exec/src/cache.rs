@@ -1,11 +1,14 @@
 //! A sharded, LRU-bounded cache from 32-byte content digests to shared
-//! values — the engine behind the process-global subproblem cache.
+//! values — the one LRU map in the workspace. It backs both the
+//! process-global subproblem cache (`adapipe-partition`, keyed by
+//! canonical knapsack-leaf digests) and the daemon's plan cache
+//! (`adapipe-serve`, keyed by request digests).
 //!
-//! The shape mirrors `adapipe-serve`'s plan cache (independently-locked
-//! shards, per-shard monotone tick for deterministic LRU order) but is
-//! generic over the value and keyed by raw [`crate::sha256`] digests,
-//! and it additionally keeps exact hit/miss/eviction counters plus
-//! approximate byte accounting so `/metrics` can report `subcache.*`
+//! Shards are independently locked, so concurrent lookups of different
+//! digests do not serialize on one mutex, and each shard orders its
+//! LRU by a monotone per-shard tick rather than wall clock, so
+//! eviction is deterministic. The cache keeps exact hit/miss/eviction
+//! counters plus approximate byte accounting for the `subcache.*`
 //! gauges. Values are handed out as `Arc` clones: a hit never copies
 //! the cached payload and eviction never invalidates a value a reader
 //! already holds.
@@ -20,19 +23,19 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub type Digest = [u8; 32];
 
 #[derive(Debug)]
-struct Entry<V> {
+struct Entry<V: ?Sized> {
     value: Arc<V>,
     bytes: u64,
     last_used: u64,
 }
 
 #[derive(Debug)]
-struct Shard<V> {
+struct Shard<V: ?Sized> {
     entries: HashMap<Digest, Entry<V>>,
     tick: u64,
 }
 
-impl<V> Default for Shard<V> {
+impl<V: ?Sized> Default for Shard<V> {
     fn default() -> Self {
         Shard {
             entries: HashMap::new(),
@@ -43,7 +46,7 @@ impl<V> Default for Shard<V> {
 
 /// A sharded LRU cache from content digest to `Arc<V>`.
 #[derive(Debug)]
-pub struct ShardedCache<V> {
+pub struct ShardedCache<V: ?Sized> {
     shards: Vec<Mutex<Shard<V>>>,
     per_shard: usize,
     capacity: usize,
@@ -53,7 +56,7 @@ pub struct ShardedCache<V> {
     bytes: AtomicU64,
 }
 
-impl<V> ShardedCache<V> {
+impl<V: ?Sized> ShardedCache<V> {
     /// How many independently-locked shards the cache splits into (or
     /// fewer for tiny capacities, so `capacity` stays exact).
     pub const SHARDS: usize = 16;
@@ -139,9 +142,10 @@ impl<V> ShardedCache<V> {
     }
 
     /// Inserts (or refreshes) `key`, declaring the entry's approximate
-    /// payload size for the `subcache.bytes` gauge; returns how many
-    /// entries the LRU bound evicted to make room.
-    pub fn insert(&self, key: Digest, value: V, approx_bytes: u64) -> usize {
+    /// payload size for the byte gauge; returns how many entries the
+    /// LRU bound evicted to make room. An `Arc` value is stored as is,
+    /// so later hits share the caller's allocation.
+    pub fn insert(&self, key: Digest, value: impl Into<Arc<V>>, approx_bytes: u64) -> usize {
         let per_shard = self.per_shard;
         let Some(target) = self.shard_for(&key) else {
             return 0;
@@ -152,7 +156,7 @@ impl<V> ShardedCache<V> {
         if let Some(old) = shard.entries.insert(
             key,
             Entry {
-                value: Arc::new(value),
+                value: value.into(),
                 bytes: approx_bytes,
                 last_used: tick,
             },
@@ -272,5 +276,95 @@ mod tests {
             cache.insert(key(i), i, 1);
         }
         assert!(cache.len() <= 2);
+    }
+
+    /// A digest whose first eight bytes are zero, so every such key
+    /// lands in shard 0 and LRU order within it is observable.
+    fn shard0_key(i: u8) -> Digest {
+        let mut d = [0u8; 32];
+        d[31] = i;
+        d
+    }
+
+    #[test]
+    fn get_returns_the_exact_inserted_bytes() {
+        let cache: ShardedCache<str> = ShardedCache::new(16);
+        let original: Arc<str> = Arc::from("adapipe-plan v2\nstage 0 ...\n");
+        cache.insert(key(1), Arc::clone(&original), 28);
+        let hit = cache.get(&key(1)).unwrap();
+        assert!(
+            Arc::ptr_eq(&hit, &original),
+            "hit must share the cold bytes"
+        );
+        assert!(cache.get(&key(2)).is_none());
+    }
+
+    #[test]
+    fn lru_evicts_the_least_recently_used() {
+        let cache: ShardedCache<&str> = ShardedCache::new(1);
+        assert_eq!(cache.insert(key(1), "a", 1), 0);
+        assert_eq!(cache.insert(key(2), "b", 1), 1);
+        assert_eq!((cache.len(), cache.evictions()), (1, 1));
+        assert!(cache.get(&key(1)).is_none(), "oldest entry evicted");
+        assert!(cache.get(&key(2)).is_some());
+    }
+
+    #[test]
+    fn touching_an_entry_protects_it_from_eviction() {
+        // 32 entries over 16 shards: two per shard.
+        let cache: ShardedCache<&str> = ShardedCache::new(32);
+        cache.insert(shard0_key(1), "a", 1);
+        cache.insert(shard0_key(2), "b", 1);
+        assert!(cache.get(&shard0_key(1)).is_some(), "refresh a");
+        assert_eq!(cache.insert(shard0_key(3), "c", 1), 1);
+        assert!(
+            cache.get(&shard0_key(1)).is_some(),
+            "recently-used survives"
+        );
+        assert!(cache.get(&shard0_key(2)).is_none(), "lru entry evicted");
+        assert!(cache.get(&shard0_key(3)).is_some());
+    }
+
+    #[test]
+    fn capacity_is_respected_under_many_inserts() {
+        let cache = ShardedCache::new(100);
+        for i in 0..1000 {
+            cache.insert(key(i), i, 1);
+        }
+        // div_ceil may round each shard's bound up by at most 1.
+        assert!(cache.len() <= cache.capacity() + ShardedCache::<u64>::SHARDS);
+        assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn reinserting_a_digest_does_not_grow_the_cache() {
+        let cache: ShardedCache<&str> = ShardedCache::new(4);
+        for _ in 0..10 {
+            cache.insert(key(3), "x", 8);
+        }
+        assert_eq!((cache.len(), cache.bytes(), cache.evictions()), (1, 8, 0));
+    }
+
+    #[test]
+    fn concurrent_access_from_many_threads_is_safe() {
+        let cache: Arc<ShardedCache<str>> = Arc::new(ShardedCache::new(32));
+        let handles: Vec<_> = (0..8u64)
+            .map(|t| {
+                let cache = Arc::clone(&cache);
+                std::thread::spawn(move || {
+                    for i in 0..200 {
+                        let k = key((t * 7 + i) % 40);
+                        if cache.get(&k).is_none() {
+                            cache.insert(k, "body", 4);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(cache.stats().lookups(), 8 * 200);
+        assert!(cache.len() <= cache.capacity() + ShardedCache::<str>::SHARDS);
     }
 }

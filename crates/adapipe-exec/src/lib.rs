@@ -5,24 +5,25 @@
 //! pieces that turn them from a serial bottleneck into shared,
 //! parallel work without ever changing a plan byte:
 //!
-//! * [`ExecPool`] — a seeded, deterministic work-stealing fork-join
-//!   pool built on scoped `std::thread` workers with `Mutex`/`Condvar`
-//!   index deques. [`ExecPool::map`] always returns results in input
+//! * [`ExecPool`] — a deterministic fork-join `map` over scoped
+//!   `std::thread` workers that claim task indices from one shared
+//!   atomic cursor. [`ExecPool::map`] always returns results in input
 //!   order and contains task panics into a typed [`ExecError`], so a
 //!   poisoned leaf cannot deadlock or abort the daemon. Thread count
 //!   comes from `ADAPIPE_THREADS` (see [`ExecPool::from_env`]).
-//! * [`ShardedCache`] — a sharded, LRU-bounded map from 32-byte
-//!   content digests to shared values, with exact hit/miss/eviction
-//!   counters and approximate byte accounting. The planner keys it
-//!   with [`sha256`] over a canonical subproblem encoding so *similar*
-//!   models share knapsack leaves across requests
-//!   (`adapipe-partition`'s global subproblem cache).
+//! * [`ShardedCache`] — the workspace's one sharded, LRU-bounded map
+//!   from 32-byte content digests to shared values, with exact
+//!   hit/miss/eviction counters and approximate byte accounting. The
+//!   planner keys it with [`sha256`] over a canonical subproblem
+//!   encoding so *similar* models share knapsack leaves across
+//!   requests (`adapipe-partition`'s global subproblem cache), and the
+//!   serve daemon keys its plan cache with request digests.
 //!
 //! Determinism is the design law, not an accident: the pool only
-//! distributes *indices* of a pre-enumerated task list and writes each
-//! result into its own slot, so scheduling order (and therefore thread
-//! count, steal order, or seed) can never reorder, drop, or duplicate
-//! work. `docs/parallel.md` spells out the argument end to end.
+//! distributes *indices* of a pre-enumerated task list and scatters
+//! each result back to its own index, so scheduling order (and
+//! therefore thread count) can never reorder, drop, or duplicate work.
+//! `docs/parallel.md` spells out the argument end to end.
 //!
 //! Like `adapipe-units`, this crate is dependency-free so every layer
 //! above it can use it without weight.
@@ -36,5 +37,5 @@ pub mod stats;
 
 pub use cache::ShardedCache;
 pub use pool::{ExecError, ExecPool, PoolStats};
-pub use sha::{sha256, sha256_hex};
+pub use sha::{digest_from_hex, sha256, sha256_hex};
 pub use stats::CacheStats;

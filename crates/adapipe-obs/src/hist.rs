@@ -101,7 +101,7 @@ impl StreamingHistogram {
 
     /// Records one observation. `O(1)`, no allocation.
     pub fn record(&mut self, v: f64) {
-        self.count += 1;
+        self.count = self.count.saturating_add(1);
         self.sum += v;
         if v.is_finite() {
             if v < self.min {
@@ -114,10 +114,10 @@ impl StreamingHistogram {
         if v.is_finite() && v > 0.0 {
             let i = Self::bucket_of(v);
             if let Some(b) = self.buckets.get_mut(i) {
-                *b += 1;
+                *b = b.saturating_add(1);
             }
         } else {
-            self.underflow += 1;
+            self.underflow = self.underflow.saturating_add(1);
         }
     }
 
@@ -126,7 +126,7 @@ impl StreamingHistogram {
     /// histograms can be combined into one registry without re-observing
     /// samples.
     pub fn merge(&mut self, other: &StreamingHistogram) {
-        self.count += other.count;
+        self.count = self.count.saturating_add(other.count);
         self.sum += other.sum;
         if other.min < self.min {
             self.min = other.min;
@@ -134,9 +134,9 @@ impl StreamingHistogram {
         if other.max > self.max {
             self.max = other.max;
         }
-        self.underflow += other.underflow;
+        self.underflow = self.underflow.saturating_add(other.underflow);
         for (dst, src) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *dst += *src;
+            *dst = dst.saturating_add(*src);
         }
     }
 
@@ -177,7 +177,7 @@ impl StreamingHistogram {
         }
         let mut seen = self.underflow;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if n > 0 && rank < seen {
                 return clamp(Self::representative(i));
             }

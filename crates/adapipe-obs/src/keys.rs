@@ -118,11 +118,9 @@ pub const EXEC_POOL_WORKERS: &str = "exec.pool.workers";
 pub const EXEC_POOL_BATCHES: &str = "exec.pool.batches";
 /// Tasks executed across all pool batches so far (gauge, cumulative).
 pub const EXEC_POOL_TASKS: &str = "exec.pool.tasks";
-/// Tasks obtained by work-stealing from another worker's deque
-/// (gauge, cumulative).
+/// Tasks a worker claimed beyond its even share `ceil(n/workers)` of
+/// a batch (gauge, cumulative).
 pub const EXEC_POOL_STEALS: &str = "exec.pool.steals";
-/// High-water initial per-worker queue depth (gauge, max-tracked).
-pub const EXEC_POOL_QUEUE_DEPTH_MAX: &str = "exec.pool.queue.depth.max";
 
 /// Process-global subproblem-cache lookup hits (counter,
 /// `adapipe-partition`).

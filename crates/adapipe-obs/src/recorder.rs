@@ -132,7 +132,10 @@ impl Recorder {
 
     /// Adds `delta` to the counter `key`.
     pub fn add(&self, key: &str, delta: u64) {
-        self.with_state(|s| *s.counters.entry(key.to_string()).or_insert(0) += delta);
+        self.with_state(|s| {
+            let c = s.counters.entry(key.to_string()).or_insert(0);
+            *c = c.saturating_add(delta);
+        });
     }
 
     /// Increments the counter `key` by one.
@@ -249,7 +252,8 @@ impl Recorder {
         let (counters, gauges, histograms) = parts;
         self.with_state(|s| {
             for (k, v) in counters {
-                *s.counters.entry(k).or_insert(0) += v;
+                let c = s.counters.entry(k).or_insert(0);
+                *c = c.saturating_add(v);
             }
             for (k, v) in gauges {
                 let g = s.gauges.entry(k).or_insert(f64::NEG_INFINITY);
@@ -492,6 +496,20 @@ mod tests {
         Recorder::disabled().absorb(&enabled);
         enabled.absorb(&Recorder::disabled());
         assert_eq!(enabled.counter("c"), 1);
+    }
+
+    #[test]
+    fn absorbed_counters_saturate_instead_of_overflowing() {
+        let near_max = Recorder::new();
+        near_max.add("c", u64::MAX - 1);
+        near_max.observe("h", 1.0);
+        let registry = Recorder::new();
+        registry.add("c", 5);
+        registry.absorb(&near_max);
+        registry.absorb(&near_max);
+        registry.incr("c");
+        assert_eq!(registry.counter("c"), u64::MAX);
+        assert_eq!(registry.snapshot().histograms["h"].count, 2);
     }
 
     #[test]

@@ -20,9 +20,8 @@
 //! is byte-identical to a fresh knapsack solve (the knapsack DP is a
 //! deterministic function of exactly the hashed inputs).
 //!
-//! Capacity is bounded (`ADAPIPE_SUBCACHE_CAP` entries, LRU per
-//! shard) with eviction and byte accounting surfaced as `subcache.*`
-//! metrics.
+//! Capacity is bounded ([`DEFAULT_CAPACITY`] entries, LRU per shard)
+//! with eviction and byte accounting surfaced as `subcache.*` metrics.
 
 use adapipe_exec::cache::Digest;
 use adapipe_exec::{sha256, CacheStats, ShardedCache};
@@ -32,9 +31,6 @@ use adapipe_recompute::strategy::cost_of;
 use adapipe_recompute::{KnapsackConfig, OptimizedStage, RecomputeStrategy, StrategyError};
 use adapipe_units::Bytes;
 use std::sync::{Arc, OnceLock};
-
-/// Environment variable bounding the global cache's entry count.
-pub const CAPACITY_ENV: &str = "ADAPIPE_SUBCACHE_CAP";
 
 /// Default entry bound: leaves are tens of bytes each, so the default
 /// keeps the cache a few megabytes at worst.
@@ -125,18 +121,10 @@ impl SubproblemCache {
     }
 }
 
-/// The shared process-global cache, sized by `ADAPIPE_SUBCACHE_CAP`
-/// (read once, at first use).
+/// The shared process-global cache of [`DEFAULT_CAPACITY`] entries.
 pub fn global() -> &'static SubproblemCache {
     static GLOBAL: OnceLock<SubproblemCache> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        let capacity = std::env::var(CAPACITY_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        SubproblemCache::new(capacity)
-    })
+    GLOBAL.get_or_init(|| SubproblemCache::new(DEFAULT_CAPACITY))
 }
 
 /// The canonical digest of one *layer*'s unit profiles: unit kinds
@@ -394,6 +382,6 @@ mod tests {
         let a = global() as *const SubproblemCache;
         let b = global() as *const SubproblemCache;
         assert_eq!(a, b);
-        assert!(global().capacity() >= 1);
+        assert_eq!(global().capacity(), DEFAULT_CAPACITY);
     }
 }

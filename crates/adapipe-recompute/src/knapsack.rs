@@ -100,6 +100,21 @@ pub fn optimize_traced(
 ) -> Result<OptimizedStage, StrategyError> {
     let started = rec.is_enabled().then(Instant::now);
     rec.incr(keys::KNAPSACK_CALLS);
+    let result = optimize_untimed(units, budget_per_mb, config, rec);
+    // Timed on every exit, the out-of-memory early return included, so
+    // `recompute.knapsack.us` counts exactly `recompute.knapsack.calls`.
+    if let Some(t0) = started {
+        rec.observe(keys::KNAPSACK_US, t0.elapsed().as_secs_f64() * 1e6);
+    }
+    result
+}
+
+fn optimize_untimed(
+    units: &[UnitProfile],
+    budget_per_mb: Bytes,
+    config: KnapsackConfig,
+    rec: &Recorder,
+) -> Result<OptimizedStage, StrategyError> {
     let pinned_bytes: Bytes = units
         .iter()
         .filter(|u| u.is_pinned())
@@ -136,9 +151,6 @@ pub fn optimize_traced(
 
     let strategy = RecomputeStrategy::from_flags(units, saved);
     let cost = cost_of(units, &strategy);
-    if let Some(t0) = started {
-        rec.observe(keys::KNAPSACK_US, t0.elapsed().as_secs_f64() * 1e6);
-    }
     // Rescaling audit: the DP must never over-commit the real budget
     // (weights round *up*, capacity rounds *down* — see `solve`).
     debug_assert!(
@@ -526,6 +538,23 @@ mod tests {
         assert!(snap.counters["recompute.knapsack.cells"] > 0);
         assert!(snap.gauges["recompute.knapsack.gcd_scale"] >= 1.0);
         assert_eq!(snap.histograms["recompute.knapsack.us"].count, 1);
+        Ok(())
+    }
+
+    #[test]
+    fn out_of_memory_exit_is_timed_too() -> TestResult {
+        let rec = Recorder::new();
+        let us = units(LayerRange::new(1, 8))?;
+        let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
+        optimize_traced(&us, all * 60 / 100, KnapsackConfig::default(), &rec)?;
+        let oom = optimize_traced(&us, Bytes::ZERO, KnapsackConfig::default(), &rec);
+        assert!(
+            matches!(oom, Err(StrategyError::OutOfMemory { .. })),
+            "{oom:?}"
+        );
+        let snap = rec.snapshot();
+        assert_eq!(snap.counters["recompute.knapsack.calls"], 2);
+        assert_eq!(snap.histograms["recompute.knapsack.us"].count, 2);
         Ok(())
     }
 

@@ -30,7 +30,8 @@
 //!
 //! Requests are [canonicalized](request::PlanRequest::canonical_text)
 //! so dimensionally-equal configs share a SHA-256 digest, then answered
-//! from a [sharded LRU plan cache](cache::PlanCache); misses are planned
+//! from a sharded LRU plan cache ([`adapipe_exec::ShardedCache`] keyed
+//! by the raw 32-byte digest); misses are planned
 //! on a [bounded worker pool](queue::BoundedQueue) with explicit
 //! backpressure (`503 + Retry-After`, never accept-then-hang),
 //! per-request deadlines classified by the `adapipe-faults` watchdog,
@@ -58,14 +59,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod client;
 pub mod http;
 pub mod names;
 pub mod queue;
 pub mod request;
 mod server;
-pub mod sha;
 pub mod trace_store;
 
 pub use request::{PlanRequest, RequestError, DEFAULT_HEADROOM, REQUEST_HEADER};

@@ -28,8 +28,8 @@
 //! are asking for.
 
 use crate::names;
-use crate::sha;
 use adapipe::{Method, Planner};
+use adapipe_exec::sha256_hex;
 use adapipe_memory::OptimizerSpec;
 use adapipe_model::{ParallelConfig, TrainConfig};
 use adapipe_units::MicroSecs;
@@ -318,7 +318,7 @@ impl PlanRequest {
     /// The content address: SHA-256 of [`Self::canonical_text`], hex.
     #[must_use]
     pub fn digest(&self) -> String {
-        sha::sha256_hex(self.canonical_text().as_bytes())
+        sha256_hex(self.canonical_text().as_bytes())
     }
 
     /// The wire text a client sends. Includes the deadline when set

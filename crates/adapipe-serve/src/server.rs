@@ -50,13 +50,12 @@
 //! and `POST /admin/dump` returns the ring as `adapipe-flight/v1` JSON
 //! on demand.
 
-use crate::cache::PlanCache;
 use crate::http::{self, Request, Response};
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{PlanRequest, RequestError};
 use crate::trace_store::TraceStore;
 use adapipe::VerifyOptions;
-use adapipe_exec::ExecPool;
+use adapipe_exec::{digest_from_hex, ExecPool, ShardedCache};
 use adapipe_faults::{DegradationEvent, Diagnosis, Watchdog};
 use adapipe_obs::{flight, keys, report, trace, FlightRecorder, Recorder};
 use adapipe_partition::subcache;
@@ -150,8 +149,9 @@ struct Job {
 struct Shared {
     cfg: ServeConfig,
     addr: SocketAddr,
-    cache: PlanCache,
-    /// Deterministic work-stealing pool shared by every worker's
+    /// Plan cache: raw request digest → cold response body.
+    cache: ShardedCache<str>,
+    /// Deterministic exec pool shared by every worker's
     /// planner for parallel leaf prefill (`ADAPIPE_THREADS` sizes it).
     exec: Arc<ExecPool>,
     queue: BoundedQueue<Job>,
@@ -235,6 +235,12 @@ impl Shared {
         }
     }
 
+    /// The cached body for a hex `digest`; a malformed digest is
+    /// simply absent.
+    fn cached(&self, digest: &str) -> Option<Arc<str>> {
+        digest_from_hex(digest).and_then(|key| self.cache.get(&key))
+    }
+
     /// The deterministic trace id for a request: the first 16 hex chars
     /// of its content digest plus a process-lifetime sequence number.
     /// No wall-clock component — two runs replaying the same request
@@ -268,7 +274,7 @@ impl Server {
         let listener = TcpListener::bind((cfg.host.as_str(), cfg.port))?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            cache: PlanCache::new(cfg.cache_capacity),
+            cache: ShardedCache::new(cfg.cache_capacity),
             exec: Arc::new(ExecPool::from_env()),
             queue: BoundedQueue::new(cfg.queue_depth),
             rec,
@@ -499,7 +505,7 @@ fn route(
 }
 
 fn lookup_response(shared: &Shared, digest: &str) -> Response {
-    match shared.cache.get(digest) {
+    match shared.cached(digest) {
         Some(body) => {
             shared.rec.incr(keys::SERVE_CACHE_HITS);
             plan_ok(digest, &body, "hit")
@@ -559,7 +565,7 @@ fn plan_response(
     let digest = preq.digest();
     let trace_id = shared.next_trace_id(&digest);
 
-    if let Some(body) = shared.cache.get(&digest) {
+    if let Some(body) = shared.cached(&digest) {
         shared.rec.incr(keys::SERVE_CACHE_HITS);
         let response = plan_ok(&digest, &body, "hit").with_header(TRACE_HEADER, &trace_id);
         shared.store_trace(rec, &trace_id);
@@ -658,10 +664,15 @@ fn plan_response(
     let body: Arc<str> = Arc::from(adapipe::plan_io::to_text(&plan));
     let evicted = {
         let _insert = rec.span_cat(keys::SPAN_SERVE_CACHE_INSERT, "serve");
-        shared.cache.insert(&digest, Arc::clone(&body))
+        digest_from_hex(&digest).map_or(0, |key| {
+            let bytes = convert::usize_u64(body.len());
+            shared.cache.insert(key, Arc::clone(&body), bytes)
+        })
     };
     if evicted > 0 {
-        shared.rec.add(keys::SERVE_CACHE_EVICTIONS, evicted);
+        shared
+            .rec
+            .add(keys::SERVE_CACHE_EVICTIONS, convert::usize_u64(evicted));
     }
 
     let mut response = plan_ok(&digest, &body, "miss").with_header(TRACE_HEADER, &trace_id);
@@ -718,10 +729,6 @@ fn publish_engine_gauges(shared: &Shared) {
     rec.gauge(keys::EXEC_POOL_BATCHES, convert::u64_f64(pool.batches));
     rec.gauge(keys::EXEC_POOL_TASKS, convert::u64_f64(pool.tasks));
     rec.gauge(keys::EXEC_POOL_STEALS, convert::u64_f64(pool.steals));
-    rec.gauge(
-        keys::EXEC_POOL_QUEUE_DEPTH_MAX,
-        convert::u64_f64(pool.max_queue_depth),
-    );
     let sub = subcache::global();
     rec.gauge(keys::SUBCACHE_ENTRIES, convert::count_f64(sub.len()));
     rec.gauge(keys::SUBCACHE_EVICTIONS, convert::u64_f64(sub.evictions()));

@@ -78,12 +78,27 @@ fn cold_plan_then_cache_hit_is_byte_identical() {
     assert_eq!(by_digest.status, 200);
     assert_eq!(by_digest.body, cold.body);
 
-    let missing = client::get(&addr, "/v1/plan/deadbeef").unwrap();
-    assert_eq!(missing.status, 404);
+    // Hostile spellings never alias the entry and never 5xx.
+    let non_ascii = format!("{}é", &digest[..62]);
+    let hostile = [
+        "deadbeef".to_string(),
+        digest.to_uppercase(),
+        digest[..63].to_string(),
+        format!("{digest}0"),
+        "z".repeat(64),
+        non_ascii,
+    ];
+    for bad in &hostile {
+        let missing = client::get(&addr, &format!("/v1/plan/{bad}")).unwrap();
+        assert_eq!(missing.status, 404, "/v1/plan/{bad}: {}", missing.body);
+    }
+    let again = client::get(&addr, &format!("/v1/plan/{digest}")).unwrap();
+    assert_eq!(again.status, 200);
+    assert_eq!(again.body, cold.body);
 
     let summary = server.shutdown_and_join();
     assert_eq!(summary.cache_misses, 1);
-    assert_eq!(summary.cache_hits, 2);
+    assert_eq!(summary.cache_hits, 3, "one POST hit and two GET hits");
 }
 
 #[test]

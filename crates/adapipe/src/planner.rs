@@ -30,7 +30,7 @@ pub struct Planner {
     search_headroom: f64,
     knapsack: KnapsackConfig,
     rec: Recorder,
-    /// Work-stealing pool for parallel leaf prefill; `None` keeps the
+    /// Exec pool for parallel leaf prefill; `None` keeps the
     /// search fully serial (the default — plans are byte-identical
     /// either way, see docs/parallel.md).
     exec: Option<Arc<ExecPool>>,
@@ -65,7 +65,7 @@ impl Planner {
         }
     }
 
-    /// Attaches a work-stealing pool: `plan(AdaPipe, ..)` evaluates the
+    /// Attaches an exec pool: `plan(AdaPipe, ..)` evaluates the
     /// isomorphism-class representative leaves in parallel over it
     /// before the serial Algorithm 1 sweep. The resulting plan is
     /// byte-identical to the serial one at any thread count; pools with
@@ -321,10 +321,6 @@ impl Planner {
                 .gauge(keys::EXEC_POOL_TASKS, convert::u64_f64(stats.tasks));
             self.rec
                 .gauge(keys::EXEC_POOL_STEALS, convert::u64_f64(stats.steals));
-            self.rec.gauge(
-                keys::EXEC_POOL_QUEUE_DEPTH_MAX,
-                convert::u64_f64(stats.max_queue_depth),
-            );
             self.rec
                 .add(keys::PREFILL_LEAVES, convert::usize_u64(computed));
         }

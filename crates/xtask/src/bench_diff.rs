@@ -13,8 +13,8 @@
 //!
 //! `bench.wall_s` is skipped: end-to-end wall clock of the regenerator
 //! binary is machine load in a trench coat, not a tracked metric.
-//! `exec.pool.*` gauges are skipped for the same reason — worker count,
-//! batch/steal totals and queue depth echo the machine and
+//! `exec.pool.*` gauges are skipped for the same reason — worker count
+//! and batch/task/steal totals echo the machine and
 //! `ADAPIPE_THREADS`, not plan quality, so a 1-thread baseline would
 //! spuriously "regress" against an N-thread run. Metrics with a
 //! non-positive baseline are skipped too — a relative change from zero

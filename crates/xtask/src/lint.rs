@@ -258,7 +258,7 @@ pub fn check_bounded_channel(file: &SourceFile, out: &mut Vec<Violation>) {
 
 /// `unpooled-thread`: no bare `std::thread::spawn` in library code
 /// outside the pooled crates. An ad-hoc thread bypasses the
-/// deterministic work-stealing pool — its scheduling is OS-dependent,
+/// deterministic exec pool — its scheduling is OS-dependent,
 /// its panics unwind past the typed `ExecError` containment, and its
 /// results escape the byte-identity argument of docs/parallel.md. Use
 /// `adapipe_exec::ExecPool::map` (fork-join) instead; `thread::scope`

@@ -1,5 +1,5 @@
 //! Determinism laws for the parallel search engine (`docs/parallel.md`):
-//! attaching the work-stealing pool or the shared subproblem cache must
+//! attaching the exec pool or the shared subproblem cache must
 //! never change a single byte of an emitted plan. The pool only
 //! *prefills* isomorphism-class representatives — the DP itself stays
 //! serial — and the subcache stores per-unit save flags that are
@@ -46,20 +46,6 @@ fn adapipe_plans_are_byte_identical_at_any_thread_count() {
             "plan diverged from the sequential baseline at {threads} worker(s)"
         );
     }
-}
-
-/// The work-stealing seed orders *scheduling*, never results: two pools
-/// with different seeds produce the same bytes.
-#[test]
-fn pool_seed_does_not_leak_into_plans() {
-    let parallel = ParallelConfig::new(2, 4, 1).expect("valid");
-    let train = TrainConfig::new(1, 2048, 32).expect("valid");
-    let a = gpt2_planner().with_exec_pool(Arc::new(ExecPool::new(4).with_seed(1)));
-    let b = gpt2_planner().with_exec_pool(Arc::new(ExecPool::new(4).with_seed(0xdead_beef)));
-    assert_eq!(
-        text_of(&a, Method::AdaPipe, parallel, train),
-        text_of(&b, Method::AdaPipe, parallel, train),
-    );
 }
 
 /// The process-global subproblem cache is byte-transparent: a planner
