@@ -167,7 +167,7 @@ impl MemoryModel {
     ///
     /// Returns `None` when static memory plus the recompute buffer already
     /// exceed the capacity — the stage cannot run at all (the OOM cases in
-    /// Table 3).
+    /// Table 3) — or when `stage` is not a stage of the pipeline.
     #[must_use]
     pub fn activation_budget(
         &self,
@@ -177,6 +177,9 @@ impl MemoryModel {
         stage: usize,
         capacity: Bytes,
     ) -> Option<Bytes> {
+        if stage >= self.parallel.pipeline() {
+            return None;
+        }
         let fixed = self
             .static_bytes(seq, range)
             .saturating_add(table.recompute_buffer_bytes(range));
@@ -244,6 +247,16 @@ mod tests {
         let whole = LayerRange::new(0, seq.len() - 1);
         assert!(mem
             .activation_budget(&table, &seq, whole, 0, Bytes::from_gib(8))
+            .is_none());
+    }
+
+    #[test]
+    fn budget_none_for_a_stage_past_the_pipeline() {
+        let (model, parallel, table, seq) = setup();
+        let mem = MemoryModel::new(model, parallel, OptimizerSpec::adam_fp32());
+        let range = seq.even_partition(8)[3];
+        assert!(mem
+            .activation_budget(&table, &seq, range, 8, Bytes::from_gib(80))
             .is_none());
     }
 

@@ -130,11 +130,14 @@ impl Recorder {
         })
     }
 
-    /// Adds `delta` to the counter `key`.
+    /// Adds `delta` to the counter `key`. Allocates only the first
+    /// time a key is seen: hot counters are bumped in place.
     pub fn add(&self, key: &str, delta: u64) {
-        self.with_state(|s| {
-            let c = s.counters.entry(key.to_string()).or_insert(0);
-            *c = c.saturating_add(delta);
+        self.with_state(|s| match s.counters.get_mut(key) {
+            Some(c) => *c = c.saturating_add(delta),
+            None => {
+                s.counters.insert(key.to_string(), delta);
+            }
         });
     }
 
@@ -164,11 +167,13 @@ impl Recorder {
     /// log-bucketed [`StreamingHistogram`]s: memory stays O(buckets) no
     /// matter how many values are observed.
     pub fn observe(&self, key: &str, value: f64) {
-        self.with_state(|s| {
-            s.histograms
+        self.with_state(|s| match s.histograms.get_mut(key) {
+            Some(h) => h.record(value),
+            None => s
+                .histograms
                 .entry(key.to_string())
                 .or_default()
-                .record(value);
+                .record(value),
         });
     }
 

@@ -2,11 +2,12 @@
 //! forward/backward times by running the recomputation knapsack.
 //!
 //! [`KnapsackCostProvider`] is shareable concurrent state (`Sync`):
-//! the §5.3 isomorphism cache sits behind a `Mutex` and the hit/miss
-//! counters are atomics, so leaf evaluations can fan out over an
-//! [`adapipe_exec::ExecPool`] (see [`KnapsackCostProvider::prefill`])
-//! while Algorithm 1 itself stays serial — which is what keeps plans
-//! byte-identical at any thread count.
+//! the §5.3 isomorphism cache is a dense table of write-once atomic
+//! slots and the hit/miss counters are atomics, so leaf evaluations can
+//! fan out over an [`adapipe_exec::ExecPool`] (see
+//! [`KnapsackCostProvider::prefill`]) while Algorithm 1 itself stays
+//! serial — which is what keeps plans byte-identical at any thread
+//! count.
 
 use crate::cost::StageTimes;
 use crate::subcache::{self, SubproblemCache};
@@ -19,11 +20,11 @@ use adapipe_profiler::ProfileTable;
 use adapipe_recompute::{
     optimize_exhaustive, optimize_traced, KnapsackConfig, OptimizedStage, StrategyError,
 };
-use adapipe_units::{convert, Bytes};
+use adapipe_units::{convert, Bytes, MicroSecs};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 /// Source of the `f[s,i,j]` / `b[s,i,j]` arrays consumed by Algorithm 1.
 ///
@@ -36,15 +37,134 @@ pub trait StageCostProvider {
     fn stage_times(&self, stage: usize, range: LayerRange) -> Option<StageTimes>;
 }
 
-/// Isomorphism-class key (§5.3): within a homogeneous transformer, two
-/// layer windows with equal length, equal first-layer kind and the same
-/// "reaches the final layer" flag contain identical layer sequences.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct IsoKey {
-    stage: usize,
-    first_kind: LayerKind,
-    len: usize,
-    ends_last: bool,
+/// `f` bits of a slot no leaf has been written to. Both sentinels are
+/// NaN payloads no arithmetic produces; a leaf time with these bits is
+/// answered uncached instead of stored.
+const EMPTY: u64 = u64::MAX;
+/// `f` bits of a slot whose leaf cannot fit even under full
+/// recomputation.
+const INFEASIBLE: u64 = u64::MAX - 1;
+
+/// One isomorphism-class slot: the leaf's `f` and `b` as `f64` bits.
+/// `f` doubles as the state word ([`EMPTY`], [`INFEASIBLE`]) and is
+/// written last with release ordering, so a reader that sees it also
+/// sees `b`. Racing writers of one class store identical bits (leaves
+/// are pure), which makes the slot write-once in effect.
+#[derive(Debug)]
+struct Slot {
+    f: AtomicU64,
+    b: AtomicU64,
+}
+
+/// The §5.3 isomorphism cache as a dense, lock-free table. Within a
+/// homogeneous transformer, two layer windows with equal length, equal
+/// first-layer kind and the same "reaches the final layer" flag contain
+/// identical layer sequences, so per stage the classes are:
+///
+/// * windows that stop before the last layer: one slot per first-layer
+///   kind that can start one (embedding, attention, feed-forward) and
+///   length `1..L`;
+/// * windows that reach the last layer: one slot per length `1..=L`
+///   (the length fixes the first layer, hence its kind).
+///
+/// That is `4L − 3` slots per stage, indexed arithmetically. Queries the
+/// table has no slot for — a stage past the pipeline, a window past the
+/// sequence, or one starting at the decoding head yet stopping short of
+/// it — are answered uncached.
+///
+/// The slots are allocated on first use, not with the provider:
+/// allocated at construction, the table raised the paper-scale
+/// daemon's peak RSS from ~17.7 to 19–22 MB (allocator fragmentation;
+/// `perfbench` `serve-paper-miss` on a 2-core host), and allocated on
+/// first use it leaves it at ~17.7 MB.
+#[derive(Debug)]
+struct ClassTable {
+    layers: usize,
+    stages: usize,
+    slots: OnceLock<Vec<Slot>>,
+}
+
+impl ClassTable {
+    /// A table for `stages` stages of a `layers`-layer sequence; zero
+    /// stages is a disabled cache.
+    fn new(layers: usize, stages: usize) -> Self {
+        ClassTable {
+            layers,
+            stages,
+            slots: OnceLock::new(),
+        }
+    }
+
+    fn stride(layers: usize) -> usize {
+        (4 * layers).saturating_sub(3)
+    }
+
+    fn len(&self) -> usize {
+        self.stages * Self::stride(self.layers)
+    }
+
+    fn slots(&self) -> &[Slot] {
+        self.slots.get_or_init(|| {
+            (0..self.len())
+                .map(|_| Slot {
+                    f: AtomicU64::new(EMPTY),
+                    b: AtomicU64::new(0),
+                })
+                .collect()
+        })
+    }
+
+    /// The slot of `(stage, range)`'s isomorphism class, if it has one.
+    fn index(&self, seq: &LayerSeq, stage: usize, range: LayerRange) -> Option<usize> {
+        let l = self.layers;
+        if range.last >= l {
+            return None;
+        }
+        let len = range.len();
+        let class = if range.last == l - 1 {
+            3 * (l - 1) + len - 1
+        } else {
+            let kind = match seq.layer(range.first).kind {
+                LayerKind::Embedding => 0,
+                LayerKind::Attention => 1,
+                LayerKind::FeedForward => 2,
+                LayerKind::DecodingHead => return None,
+            };
+            kind * (l - 1) + len - 1
+        };
+        let slot = stage.checked_mul(Self::stride(l))?.checked_add(class)?;
+        (slot < self.len()).then_some(slot)
+    }
+
+    /// The cached answer in `slot`: `None` while empty, `Some(None)`
+    /// for an infeasible leaf.
+    fn get(&self, slot: usize) -> Option<Option<StageTimes>> {
+        let slot = &self.slots()[slot];
+        match slot.f.load(Ordering::Acquire) {
+            EMPTY => None,
+            INFEASIBLE => Some(None),
+            f => Some(Some(StageTimes {
+                f: MicroSecs::new(f64::from_bits(f)),
+                b: MicroSecs::new(f64::from_bits(slot.b.load(Ordering::Relaxed))),
+            })),
+        }
+    }
+
+    fn set(&self, slot: usize, times: Option<StageTimes>) {
+        let slot = &self.slots()[slot];
+        let f = match times {
+            None => INFEASIBLE,
+            Some(t) => {
+                let f = t.f.as_micros().to_bits();
+                if f == EMPTY || f == INFEASIBLE {
+                    return;
+                }
+                slot.b.store(t.b.as_micros().to_bits(), Ordering::Relaxed);
+                f
+            }
+        };
+        slot.f.store(f, Ordering::Release);
+    }
 }
 
 /// The production provider: budgets each `(stage, window)` with the
@@ -58,7 +178,6 @@ pub struct KnapsackCostProvider<'a> {
     table: &'a ProfileTable,
     mem: &'a MemoryModel,
     capacity: Bytes,
-    iso_cache: bool,
     knapsack: KnapsackConfig,
     rec: Recorder,
     subcache: Option<&'a SubproblemCache>,
@@ -67,7 +186,7 @@ pub struct KnapsackCostProvider<'a> {
     /// re-serializing every unit profile, which would cost more than
     /// the microsecond-scale knapsack solve the cache skips.
     layer_digests: OnceLock<Vec<Digest>>,
-    cache: Mutex<HashMap<IsoKey, Option<StageTimes>>>,
+    classes: ClassTable,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -87,12 +206,11 @@ impl<'a> KnapsackCostProvider<'a> {
             table,
             mem,
             capacity,
-            iso_cache: true,
             knapsack: KnapsackConfig::default(),
             rec: Recorder::disabled(),
             subcache: None,
             layer_digests: OnceLock::new(),
-            cache: Mutex::new(HashMap::new()),
+            classes: ClassTable::new(seq.len(), mem.parallel().pipeline()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -102,7 +220,12 @@ impl<'a> KnapsackCostProvider<'a> {
     /// the ablation benchmark; results are identical either way).
     #[must_use]
     pub fn with_isomorphism_cache(mut self, enabled: bool) -> Self {
-        self.iso_cache = enabled;
+        let stages = if enabled {
+            self.mem.parallel().pipeline()
+        } else {
+            0
+        };
+        self.classes = ClassTable::new(self.seq.len(), stages);
         self
     }
 
@@ -220,33 +343,30 @@ impl<'a> KnapsackCostProvider<'a> {
         pool: &ExecPool,
         windows: &[(usize, LayerRange)],
     ) -> Result<usize, ExecError> {
-        if !self.iso_cache || pool.threads() < 2 {
+        if pool.threads() < 2 {
             return Ok(0);
         }
-        let mut reps: Vec<(IsoKey, usize, LayerRange)> = Vec::new();
-        {
-            let cache = self.lock_cache();
-            let mut seen: HashSet<IsoKey> = HashSet::new();
-            for &(stage, range) in windows {
-                let key = self.iso_key(stage, range);
-                if cache.contains_key(&key) || !seen.insert(key) {
-                    continue;
-                }
-                reps.push((key, stage, range));
+        let mut claimed = vec![false; self.classes.len()];
+        let mut reps: Vec<(usize, usize, LayerRange)> = Vec::new();
+        for &(stage, range) in windows {
+            let Some(slot) = self.classes.index(self.seq, stage, range) else {
+                continue;
+            };
+            if !claimed[slot] && self.classes.get(slot).is_none() {
+                claimed[slot] = true;
+                reps.push((slot, stage, range));
             }
         }
         if reps.len() < 2 {
             return Ok(0);
         }
-        let computed = pool.map(&reps, |&(_, stage, range)| self.compute(stage, range))?;
+        pool.map(&reps, |&(slot, stage, range)| {
+            self.classes.set(slot, self.compute(stage, range));
+        })?;
         self.misses
             .fetch_add(convert::usize_u64(reps.len()), Ordering::Relaxed);
         self.rec
             .add(keys::ISO_CACHE_MISSES, convert::usize_u64(reps.len()));
-        let mut cache = self.lock_cache();
-        for ((key, _, _), times) in reps.iter().zip(computed) {
-            cache.insert(*key, times);
-        }
         Ok(reps.len())
     }
 
@@ -264,41 +384,22 @@ impl<'a> KnapsackCostProvider<'a> {
             b: opt.cost.time_b,
         })
     }
-
-    fn iso_key(&self, stage: usize, range: LayerRange) -> IsoKey {
-        IsoKey {
-            stage,
-            first_kind: self.seq.layer(range.first).kind,
-            len: range.len(),
-            ends_last: range.last == self.seq.len() - 1,
-        }
-    }
-
-    /// Locks the iso cache, treating poisoning as recovered: leaf
-    /// evaluations contain their panics inside the exec pool, so the
-    /// map behind a poisoned lock is still consistent.
-    fn lock_cache(&self) -> MutexGuard<'_, HashMap<IsoKey, Option<StageTimes>>> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 }
 
 impl StageCostProvider for KnapsackCostProvider<'_> {
     fn stage_times(&self, stage: usize, range: LayerRange) -> Option<StageTimes> {
-        if !self.iso_cache {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            self.rec.incr(adapipe_obs::keys::ISO_CACHE_MISSES);
-            return self.compute(stage, range);
-        }
-        let key = self.iso_key(stage, range);
-        if let Some(cached) = self.lock_cache().get(&key) {
+        let slot = self.classes.index(self.seq, stage, range);
+        if let Some(cached) = slot.and_then(|slot| self.classes.get(slot)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.rec.incr(adapipe_obs::keys::ISO_CACHE_HITS);
-            return *cached;
+            self.rec.incr(keys::ISO_CACHE_HITS);
+            return cached;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.rec.incr(adapipe_obs::keys::ISO_CACHE_MISSES);
+        self.rec.incr(keys::ISO_CACHE_MISSES);
         let result = self.compute(stage, range);
-        self.lock_cache().insert(key, result);
+        if let Some(slot) = slot {
+            self.classes.set(slot, result);
+        }
         result
     }
 }
@@ -399,7 +500,6 @@ mod tests {
     use adapipe_memory::OptimizerSpec;
     use adapipe_model::{presets, ModelSpec, ParallelConfig, TrainConfig};
     use adapipe_profiler::Profiler;
-    use adapipe_units::MicroSecs;
 
     struct Fixture {
         seq: LayerSeq,
@@ -425,21 +525,50 @@ mod tests {
         let cached = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
         let raw = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80))
             .with_isomorphism_cache(false);
+        let l = fx.seq.len();
+        let mut queries = 0u64;
         for stage in 0..4 {
-            for first in [0usize, 1, 5, 10] {
-                for last in [12usize, 20, 25] {
+            for first in 0..l {
+                for last in first..l {
                     let r = LayerRange::new(first, last);
-                    assert_eq!(cached.stage_times(stage, r), raw.stage_times(stage, r));
-                    // Querying twice hits the cache.
-                    let h0 = cached.cache_stats().hits;
-                    let _ = cached.stage_times(stage, r);
-                    let h1 = cached.cache_stats().hits;
-                    assert_eq!(h1, h0 + 1);
+                    let expect = raw.stage_times(stage, r);
+                    assert_eq!(cached.stage_times(stage, r), expect, "stage {stage} {r}");
+                    queries += 1;
                 }
             }
         }
-        assert!(cached.cache_stats().hits > 0);
-        assert_eq!(raw.cache_stats().hits, 0);
+        // Classes per stage of `[embedding, (attention, feed-forward)
+        // × 12, head]`: windows stopping short of the head start at the
+        // embedding (L − 1 lengths), an attention half (L − 2) or a
+        // feed-forward half (L − 3); windows reaching it, one per length
+        // (L). Each class misses once, every other query hits.
+        let classes = 4 * (4 * convert::usize_u64(l) - 6);
+        assert_eq!(
+            cached.cache_stats(),
+            CacheStats {
+                hits: queries - classes,
+                misses: classes,
+            }
+        );
+        assert_eq!(
+            raw.cache_stats(),
+            CacheStats {
+                hits: 0,
+                misses: queries,
+            }
+        );
+        // A stage past the pipeline has no slot: it is answered (no
+        // budget, so infeasible) and stays uncached.
+        let r = LayerRange::new(3, 6);
+        assert_eq!(cached.stage_times(4, r), None);
+        assert_eq!(cached.stage_times(4, r), None);
+        assert_eq!(
+            cached.cache_stats(),
+            CacheStats {
+                hits: queries - classes,
+                misses: classes + 2,
+            }
+        );
     }
 
     #[test]

@@ -61,7 +61,8 @@ use adapipe_obs::{flight, keys, report, trace, FlightRecorder, Recorder};
 use adapipe_partition::subcache;
 use adapipe_units::{convert, MicroSecs};
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Read;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -74,6 +75,12 @@ const DEADLINE_LOG_CAP: usize = 1024;
 
 /// Socket read/write timeout: a stalled client cannot pin a worker.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Most request bytes the acceptor drains after a 503 before closing.
+const DRAIN_BYTES: usize = 64 * 1024;
+
+/// Longest the acceptor waits on a rejected client to hang up.
+const DRAIN_TIME: Duration = Duration::from_millis(100);
 
 /// Response header carrying the request's trace id.
 const TRACE_HEADER: &str = "X-Adapipe-Trace";
@@ -416,11 +423,33 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
 
 /// Writes the backpressure rejection directly from the acceptor — the
 /// one response that must never wait for a worker.
+///
+/// Closing a socket with unread input makes the kernel send a TCP RST,
+/// which can destroy the 503 before the client reads it. So the
+/// acceptor half-closes (the client sees the response end) and reads
+/// until the client hangs up, at most [`DRAIN_BYTES`] within
+/// [`DRAIN_TIME`], so a silent or flooding client cannot stall it.
 fn respond_overloaded(mut stream: TcpStream, why: &str) {
     // lint: allow(swallowed-result): the socket may already be gone; rejection is best-effort
     let _sent = Response::new(503, format!("overloaded: {why}\n"))
         .with_header("Retry-After", "1")
         .write_to(&mut stream);
+    if stream.shutdown(Shutdown::Write).is_err() {
+        return;
+    }
+    let deadline = Instant::now() + DRAIN_TIME;
+    let mut sink = [0u8; 4096];
+    let mut drained = 0usize;
+    while drained < DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
+        match stream.read(&mut sink) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 fn worker_loop(shared: &Shared, worker: usize) {

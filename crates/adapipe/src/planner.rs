@@ -161,6 +161,10 @@ impl Planner {
         Bytes::new((self.capacity().as_f64() * self.search_headroom) as u64)
     }
 
+    pub(crate) fn exec_pool(&self) -> Option<&ExecPool> {
+        self.exec.as_deref()
+    }
+
     pub(crate) fn knapsack_config(&self) -> KnapsackConfig {
         self.knapsack
     }

@@ -18,7 +18,9 @@ use adapipe_check::{
     check_breakdown, check_capacity, check_memory_accounting, check_partition, check_stage_cost,
     check_strategy, check_task_graph, CheckCode, CheckReport, Diagnostic, Severity,
 };
+use adapipe_exec::{ExecError, ExecPool};
 use adapipe_memory::StageMemory;
+use adapipe_obs::keys;
 use adapipe_partition::{KnapsackCostProvider, StageCostProvider, StageTimes};
 use adapipe_recompute::strategy;
 
@@ -32,8 +34,9 @@ pub struct VerifyOptions {
     /// Re-solve the recomputation knapsack per stage with the §5.3
     /// isomorphism cache enabled *and* disabled and require identical
     /// costs (adaptive methods only). Thorough but re-runs the search's
-    /// leaf DP; enabled for `adapipe verify`, skipped by the planner's
-    /// debug hooks.
+    /// leaf DP (over the planner's exec pool when one is attached);
+    /// enabled for `adapipe verify`, skipped by the planner's debug
+    /// hooks.
     pub iso_cache_spot_check: bool,
 }
 
@@ -173,23 +176,62 @@ impl Planner {
     /// cached `f/b[s,i,j]` leaf cost must equal the cost recomputed with
     /// the isomorphism cache disabled, and a repeated cached query must
     /// return the identical value.
+    ///
+    /// The 2p leaf solves are independent tasks — task `2s` asks the
+    /// cached provider twice, task `2s + 1` re-solves uncached — so they
+    /// run over the planner's exec pool when one is attached and are
+    /// read back in stage order: the report is the same bytes either
+    /// way. A panicked task becomes an error diagnostic.
     fn iso_cache_spot_check(
         &self,
         ctx: &Context,
         ranges: &[adapipe_model::LayerRange],
         tol: f64,
     ) -> Vec<Diagnostic> {
+        let _span = self
+            .recorder()
+            .span_cat(keys::SPAN_VERIFY_ISO_SPOT_CHECK, "planner");
         let cached =
             KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
                 .with_knapsack_config(self.knapsack_config());
         let raw = KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
             .with_knapsack_config(self.knapsack_config())
             .with_isomorphism_cache(false);
+        let tasks: Vec<(usize, bool)> = (0..ranges.len())
+            .flat_map(|s| [(s, true), (s, false)])
+            .collect();
+        let serial = ExecPool::new(1);
+        let pool = self.exec_pool().unwrap_or(&serial);
+        let answers = match pool.map(&tasks, |&(s, use_cache)| {
+            let r = ranges[s];
+            if use_cache {
+                let first = cached.stage_times(s, r);
+                (first, cached.stage_times(s, r))
+            } else {
+                let fresh = raw.stage_times(s, r);
+                (fresh, fresh)
+            }
+        }) {
+            Ok(answers) => answers,
+            Err(e) => {
+                let stage = match &e {
+                    ExecError::TaskPanicked { index, .. } | ExecError::LostTask { index } => {
+                        Some(index / 2)
+                    }
+                    _ => None,
+                };
+                return vec![Diagnostic::error(
+                    CheckCode::IsoCacheDivergence,
+                    stage,
+                    format!("leaf re-solve failed: {e}"),
+                )];
+            }
+        };
         let mut out = Vec::new();
-        for (s, &r) in ranges.iter().enumerate() {
-            let first = cached.stage_times(s, r);
-            let again = cached.stage_times(s, r);
-            let fresh = raw.stage_times(s, r);
+        for (s, (pair, &r)) in answers.chunks_exact(2).zip(ranges).enumerate() {
+            let &[(first, again), (fresh, _)] = pair else {
+                continue;
+            };
             let agree = match (first, fresh) {
                 (Some(a), Some(b)) => {
                     adapipe_check::approx_eq(a.f.as_micros(), b.f.as_micros(), tol)

@@ -12,11 +12,13 @@
 
 use adapipe::{CheckCode, Method, Plan, Planner, VerifyOptions};
 use adapipe_check::check_task_graph;
+use adapipe_exec::ExecPool;
 use adapipe_hw::presets as hw;
 use adapipe_model::{presets, LayerRange, ParallelConfig, TrainConfig};
 use adapipe_sim::{Discipline, OpKind, TaskGraph, TaskMeta};
 use adapipe_units::{Bytes, MicroSecs};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 type TestResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -228,5 +230,50 @@ fn corrupted_plans_name_the_offending_stage() -> TestResult {
         text.contains("stage 2"),
         "diagnostic does not name stage 2:\n{text}"
     );
+    Ok(())
+}
+
+#[test]
+fn pooled_verify_renders_exactly_like_serial_verify() -> TestResult {
+    // The iso-cache spot-check fans its leaf re-solves out over an
+    // attached exec pool; the merged report must be the same bytes the
+    // serial pass produces, for a clean plan and for every corruption
+    // class above.
+    let (serial, clean) = valid_plan(Method::AdaPipe)?;
+    let pooled = planner().with_exec_pool(Arc::new(ExecPool::new(4)));
+    type Corruption = (&'static str, fn(&mut Plan));
+    let corruptions: [Corruption; 7] = [
+        ("clean", |_| {}),
+        ("gapped partition", |p| {
+            let r = p.stages[1].range;
+            p.stages[1].range = LayerRange::new(r.first + 1, r.last);
+        }),
+        ("overlapping partition", |p| {
+            let r = p.stages[0].range;
+            p.stages[0].range = LayerRange::new(r.first, r.last + 1);
+        }),
+        ("stale cost", |p| {
+            p.stages[2].cost.time_f = p.stages[2].cost.time_f * 2.0;
+        }),
+        ("memory overflow", |p| {
+            p.stages[0].memory.intermediate_bytes = Bytes::from_gib(10_000);
+        }),
+        ("stage count", |p| {
+            p.stages.pop();
+        }),
+        ("breakdown drift", |p| {
+            if let Some(bd) = p.predicted.as_mut() {
+                bd.warmup = bd.warmup * 3.0;
+            }
+        }),
+    ];
+    for (name, corrupt) in corruptions {
+        let mut plan = clean.clone();
+        corrupt(&mut plan);
+        let want = serial.verify(&plan);
+        let got = pooled.verify(&plan);
+        assert_eq!(got.to_string(), want.to_string(), "{name}");
+        assert_eq!(got.has_errors(), name != "clean", "{name}:\n{got}");
+    }
     Ok(())
 }
