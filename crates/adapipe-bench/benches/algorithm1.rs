@@ -5,6 +5,7 @@
 use adapipe_hw::presets as hw;
 use adapipe_memory::{MemoryModel, OptimizerSpec};
 use adapipe_model::{presets, LayerSeq, ParallelConfig, TrainConfig};
+use adapipe_obs::Recorder;
 use adapipe_partition::{algorithm1, KnapsackCostProvider};
 use adapipe_profiler::Profiler;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -29,7 +30,14 @@ fn bench_algorithm1(c: &mut Criterion) {
             b.iter(|| {
                 let provider = KnapsackCostProvider::new(&seq, &table, &mem, capacity)
                     .with_isomorphism_cache(iso_cache);
-                algorithm1::solve(black_box(&provider), seq.len(), 8, n).unwrap()
+                algorithm1::solve_traced(
+                    black_box(&provider),
+                    seq.len(),
+                    8,
+                    n,
+                    &Recorder::disabled(),
+                )
+                .unwrap()
             });
         });
     }

@@ -4,8 +4,9 @@
 
 use adapipe_hw::presets as hw;
 use adapipe_model::{presets, LayerRange, ParallelConfig, TrainConfig};
+use adapipe_obs::Recorder;
 use adapipe_profiler::Profiler;
-use adapipe_recompute::{optimize_with, KnapsackConfig};
+use adapipe_recompute::{optimize, KnapsackConfig};
 use adapipe_units::Bytes;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -26,10 +27,11 @@ fn bench_knapsack(c: &mut Criterion) {
             &units,
             |b, units| {
                 b.iter(|| {
-                    optimize_with(
+                    optimize(
                         black_box(units),
                         black_box(budget),
                         KnapsackConfig::default(),
+                        &Recorder::disabled(),
                     )
                     .unwrap()
                 });
@@ -37,13 +39,14 @@ fn bench_knapsack(c: &mut Criterion) {
         );
         group.bench_with_input(BenchmarkId::new("no_gcd", layers), &units, |b, units| {
             b.iter(|| {
-                optimize_with(
+                optimize(
                     black_box(units),
                     black_box(budget),
                     KnapsackConfig {
                         disable_gcd: true,
                         ..Default::default()
                     },
+                    &Recorder::disabled(),
                 )
                 .unwrap()
             });

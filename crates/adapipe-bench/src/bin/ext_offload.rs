@@ -8,8 +8,9 @@
 use adapipe_bench::print_table;
 use adapipe_hw::presets as hw;
 use adapipe_model::{presets, LayerSeq, ParallelConfig, TrainConfig};
+use adapipe_obs::Recorder;
 use adapipe_profiler::Profiler;
-use adapipe_recompute::{optimize, optimize_hybrid, OffloadLink};
+use adapipe_recompute::{optimize, optimize_hybrid, KnapsackConfig, OffloadLink};
 use adapipe_units::{Bytes, BytesPerSec};
 
 fn main() {
@@ -44,7 +45,13 @@ fn main() {
     let mut rows = Vec::new();
     for frac in [20u64, 40, 60] {
         let budget = all * frac / 100;
-        let plain = optimize(&units, budget).expect("feasible");
+        let plain = optimize(
+            &units,
+            budget,
+            KnapsackConfig::default(),
+            &Recorder::disabled(),
+        )
+        .expect("feasible");
         for (label, link) in links {
             let (time_b, counts, shipped) = match link {
                 None => (

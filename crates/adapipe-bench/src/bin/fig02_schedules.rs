@@ -4,7 +4,7 @@
 
 use adapipe_bench::emit_bench_json;
 use adapipe_obs::{keys, Recorder};
-use adapipe_sim::{render, schedule, simulate_traced, SimReport, StageExec};
+use adapipe_sim::{render, schedule, simulate, SimReport, StageExec};
 use adapipe_units::{Bytes, MicroSecs};
 
 fn render_report(report: &SimReport) {
@@ -41,11 +41,13 @@ fn main() {
     let n = 6;
 
     println!("== Figure 2 (a): GPipe — all forwards, then all backwards ==");
-    let gp = simulate_traced(&schedule::gpipe(&stages, n, MicroSecs::ZERO), &rec);
+    let gp = simulate(&schedule::gpipe(&stages, n, MicroSecs::ZERO), &rec)
+        .expect("generators emit acyclic graphs");
     render_report(&gp);
 
     println!("== Figure 2 (b): 1F1B — warmup / steady / ending ==");
-    let f1b = simulate_traced(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO), &rec);
+    let f1b = simulate(&schedule::one_f_one_b(&stages, n, MicroSecs::ZERO), &rec)
+        .expect("generators emit acyclic graphs");
     render_report(&f1b);
 
     println!(

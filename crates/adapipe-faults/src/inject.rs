@@ -56,6 +56,7 @@ pub fn apply_stalls(
 mod tests {
     use super::*;
     use crate::plan::{Fault, FaultPlan};
+    use adapipe_obs::Recorder;
     use adapipe_sim::{schedule, simulate};
     use adapipe_units::Bytes;
 
@@ -116,10 +117,10 @@ mod tests {
             clock.advance();
         }
         let mut graph = schedule::one_f_one_b(&stages(p), n, MicroSecs::ZERO);
-        let healthy = simulate(&graph).makespan;
+        let healthy = simulate(&graph, &Recorder::disabled()).unwrap().makespan;
         let applied = apply_stalls(&mut graph, &mut clock, 4);
         assert_eq!(applied.len(), 1);
-        let stalled = simulate(&graph).makespan;
+        let stalled = simulate(&graph, &Recorder::disabled()).unwrap().makespan;
         assert!(stalled >= healthy + MicroSecs::new(10.0) * 0.99);
         // One-shot: a second application changes nothing.
         assert!(apply_stalls(&mut graph, &mut clock, 4).is_empty());
@@ -138,10 +139,10 @@ mod tests {
             clock.advance();
         }
         let mut graph = schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO);
-        let before = simulate(&graph).makespan;
+        let before = simulate(&graph, &Recorder::disabled()).unwrap().makespan;
         let applied = apply_stalls(&mut graph, &mut clock, 4);
         assert_eq!(applied.len(), 1);
-        let after = simulate(&graph).makespan;
+        let after = simulate(&graph, &Recorder::disabled()).unwrap().makespan;
         assert!((after - before).abs() < MicroSecs::new(1e-12));
     }
 }

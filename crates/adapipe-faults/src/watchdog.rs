@@ -156,6 +156,7 @@ impl Watchdog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adapipe_obs::Recorder;
     use adapipe_sim::{schedule, simulate, TaskGraph};
     use adapipe_units::MicroSecs;
 
@@ -179,7 +180,7 @@ mod tests {
     #[test]
     fn healthy_run_raises_nothing() {
         let (graph, planned) = healthy_run(3, 6);
-        let report = simulate(&graph);
+        let report = simulate(&graph, &Recorder::disabled()).unwrap();
         let wd = Watchdog::default();
         let budgets = vec![Bytes::new(1_000_000); 3];
         let events = wd.scan(&report, &planned, &budgets);
@@ -191,7 +192,7 @@ mod tests {
     fn slowed_device_misses_deadlines_persistently() {
         let (mut graph, planned) = healthy_run(3, 8);
         graph.slow_device(1, 0.5); // 2x slower: over the 1.5x deadline
-        let report = simulate(&graph);
+        let report = simulate(&graph, &Recorder::disabled()).unwrap();
         let wd = Watchdog::default();
         let events = wd.scan(&report, &planned, &[]);
         assert!(!events.is_empty());
@@ -210,7 +211,7 @@ mod tests {
             .find(|&i| graph.task_device(i) == 2 && graph.task_meta(i).micro_batch == 4)
             .unwrap();
         graph.delay_task(id, MicroSecs::new(5.0));
-        let report = simulate(&graph);
+        let report = simulate(&graph, &Recorder::disabled()).unwrap();
         let wd = Watchdog::default();
         let diagnosis = wd.diagnose(&wd.scan(&report, &planned, &[]));
         assert_eq!(diagnosis.transient_stalls, vec![(2, 4)]);
@@ -222,7 +223,7 @@ mod tests {
     #[test]
     fn budget_overrun_is_detected_per_device() {
         let (graph, planned) = healthy_run(3, 6);
-        let report = simulate(&graph);
+        let report = simulate(&graph, &Recorder::disabled()).unwrap();
         // Stage 0 holds p - 0 = 3 in-flight activations of 100 B; give
         // it a budget of only 2.
         let budgets = vec![Bytes::new(200), Bytes::new(1_000_000)];

@@ -18,7 +18,7 @@ use adapipe_model::{LayerKind, LayerRange, LayerSeq};
 use adapipe_obs::{keys, Recorder};
 use adapipe_profiler::ProfileTable;
 use adapipe_recompute::{
-    optimize_exhaustive, optimize_traced, KnapsackConfig, OptimizedStage, StrategyError,
+    optimize, optimize_exhaustive, KnapsackConfig, OptimizedStage, StrategyError,
 };
 use adapipe_units::{convert, Bytes, MicroSecs};
 use std::cell::RefCell;
@@ -178,7 +178,6 @@ pub struct KnapsackCostProvider<'a> {
     table: &'a ProfileTable,
     mem: &'a MemoryModel,
     capacity: Bytes,
-    knapsack: KnapsackConfig,
     rec: Recorder,
     subcache: Option<&'a SubproblemCache>,
     /// Per-layer content digests, built once on first subcache lookup:
@@ -206,7 +205,6 @@ impl<'a> KnapsackCostProvider<'a> {
             table,
             mem,
             capacity,
-            knapsack: KnapsackConfig::default(),
             rec: Recorder::disabled(),
             subcache: None,
             layer_digests: OnceLock::new(),
@@ -226,13 +224,6 @@ impl<'a> KnapsackCostProvider<'a> {
             0
         };
         self.classes = ClassTable::new(self.seq.len(), stages);
-        self
-    }
-
-    /// Overrides the knapsack tuning (cell cap, GCD rescaling).
-    #[must_use]
-    pub fn with_knapsack_config(mut self, knapsack: KnapsackConfig) -> Self {
-        self.knapsack = knapsack;
         self
     }
 
@@ -303,17 +294,17 @@ impl<'a> KnapsackCostProvider<'a> {
                         .collect()
                 })
                 .get(range.first..=range.last)?;
-            Some((sc, subcache::leaf_key(digests, budget, self.knapsack)))
+            Some((sc, subcache::leaf_key(digests, budget)))
         });
         let Some((sc, key)) = keyed else {
-            return optimize_traced(&units, budget, self.knapsack, &self.rec);
+            return optimize(&units, budget, KnapsackConfig::default(), &self.rec);
         };
         if let Some(outcome) = sc.lookup(&key) {
             self.rec.incr(keys::SUBCACHE_HITS);
             return subcache::rebuild(&units, budget, &outcome);
         }
         self.rec.incr(keys::SUBCACHE_MISSES);
-        let result = optimize_traced(&units, budget, self.knapsack, &self.rec);
+        let result = optimize(&units, budget, KnapsackConfig::default(), &self.rec);
         if let Some(outcome) = subcache::outcome_of(&result) {
             sc.store(key, outcome);
         }
@@ -322,7 +313,7 @@ impl<'a> KnapsackCostProvider<'a> {
 
     /// Evaluates, in parallel over `pool`, one representative leaf for
     /// every isomorphism class among `windows` that is not cached yet,
-    /// so a following serial [`algorithm1::solve`](crate::algorithm1)
+    /// so a following serial [`algorithm1::solve_traced`](crate::algorithm1::solve_traced)
     /// run answers every query from the cache. Returns how many leaves
     /// were computed. Pair with
     /// [`algorithm1::reachable_windows`](crate::algorithm1::reachable_windows);
@@ -746,8 +737,8 @@ mod tests {
         let windows = crate::algorithm1::reachable_windows(l, p);
         let computed = pooled.prefill(&pool, &windows).unwrap();
         assert!(computed > 0, "prefill must evaluate representatives");
-        let a = crate::algorithm1::solve(&serial, l, p, n);
-        let b = crate::algorithm1::solve(&pooled, l, p, n);
+        let a = crate::algorithm1::solve_traced(&serial, l, p, n, &Recorder::disabled());
+        let b = crate::algorithm1::solve_traced(&pooled, l, p, n, &Recorder::disabled());
         assert_eq!(a, b, "prefilled solve must be identical");
         // Every query the DP made after prefill was a cache hit.
         let stats = pooled.cache_stats();

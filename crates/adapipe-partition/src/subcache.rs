@@ -2,16 +2,16 @@
 //!
 //! The §5.3 isomorphism cache inside one [`crate::KnapsackCostProvider`]
 //! dedupes leaves *within* a single solve; this cache dedupes them
-//! *across* solves, providers, and requests. A knapsack leaf is fully
-//! determined by three inputs — the window's unit profiles (kinds and
-//! bit-exact times/sizes, *not* absolute layer indices), the
-//! per-micro-batch activation budget, and the [`KnapsackConfig`] — so
-//! those are canonicalized to bytes and hashed with
-//! [`adapipe_exec::sha256`], the same content-addressing trick
-//! `adapipe-serve` uses for whole plan requests. Two requests that
-//! share layer shapes (the common case for a daemon replanning the
-//! same model at different batch sizes, or sibling model variants)
-//! then warm-start from each other's leaves.
+//! *across* solves, providers, and requests. Providers always solve at
+//! the default [`KnapsackConfig`](adapipe_recompute::KnapsackConfig),
+//! so a knapsack leaf is fully determined by two inputs — the window's
+//! unit profiles (kinds and bit-exact times/sizes, *not* absolute layer
+//! indices) and the per-micro-batch activation budget — and those are
+//! canonicalized to bytes and hashed with [`adapipe_exec::sha256`], the
+//! same content-addressing trick `adapipe-serve` uses for whole plan
+//! requests. Two requests that share layer shapes (the common case for
+//! a daemon replanning the same model at different batch sizes, or
+//! sibling model variants) then warm-start from each other's leaves.
 //!
 //! Determinism law: a cached [`LeafOutcome`] stores only the chosen
 //! saved/recomputed *flags*; the caller rebuilds the
@@ -28,7 +28,7 @@ use adapipe_exec::{sha256, CacheStats, ShardedCache};
 use adapipe_model::UnitKind;
 use adapipe_profiler::UnitProfile;
 use adapipe_recompute::strategy::cost_of;
-use adapipe_recompute::{KnapsackConfig, OptimizedStage, RecomputeStrategy, StrategyError};
+use adapipe_recompute::{OptimizedStage, RecomputeStrategy, StrategyError};
 use adapipe_units::Bytes;
 use std::sync::{Arc, OnceLock};
 
@@ -154,20 +154,16 @@ pub fn layer_digest(units: &[UnitProfile]) -> Digest {
 
 /// The canonical digest of one knapsack leaf: the digests of the
 /// window's layers (see [`layer_digest`]; truncated to 8 bytes each —
-/// the final SHA-256 provides the content addressing), the
-/// per-micro-batch activation budget, and the knapsack tuning. The
-/// stage number is excluded: it enters only through the budget.
+/// the final SHA-256 provides the content addressing) and the
+/// per-micro-batch activation budget. The stage number is
+/// excluded: it enters only through the budget. The knapsack tuning is
+/// excluded too: every leaf is solved at the default
+/// [`KnapsackConfig`](adapipe_recompute::KnapsackConfig).
 #[must_use]
-pub fn leaf_key(layers: &[Digest], budget: Bytes, config: KnapsackConfig) -> Digest {
-    let mut bytes = Vec::with_capacity(48 + layers.len() * 8);
-    bytes.extend_from_slice(b"adapipe-leaf-v2\0");
+pub fn leaf_key(layers: &[Digest], budget: Bytes) -> Digest {
+    let mut bytes = Vec::with_capacity(32 + layers.len() * 8);
+    bytes.extend_from_slice(b"adapipe-leaf-v3\0");
     bytes.extend_from_slice(&budget.get().to_le_bytes());
-    bytes.extend_from_slice(
-        &u64::try_from(config.max_capacity_cells)
-            .unwrap_or(u64::MAX)
-            .to_le_bytes(),
-    );
-    bytes.push(u8::from(config.disable_gcd));
     bytes.extend_from_slice(
         &u64::try_from(layers.len())
             .unwrap_or(u64::MAX)
@@ -200,7 +196,7 @@ pub fn outcome_of(result: &Result<OptimizedStage, StrategyError>) -> Option<Leaf
 /// Rebuilds the full [`OptimizedStage`] a cached leaf stands for,
 /// against *this* window's units — costs, slack, and absolute layer
 /// numbering are recomputed exactly, so the result is byte-identical
-/// to a fresh [`adapipe_recompute::optimize_traced`] call.
+/// to a fresh [`adapipe_recompute::optimize`] call.
 ///
 /// # Errors
 ///
@@ -265,7 +261,8 @@ fn kind_tag(kind: UnitKind) -> u8 {
 mod tests {
     use super::*;
     use adapipe_model::ComputationUnit;
-    use adapipe_recompute::optimize_with;
+    use adapipe_obs::Recorder;
+    use adapipe_recompute::{optimize, KnapsackConfig};
     use adapipe_units::MicroSecs;
 
     fn unit(kind: UnitKind, layer: usize, f: f64, b: f64, mem: u64) -> UnitProfile {
@@ -298,32 +295,27 @@ mod tests {
 
     #[test]
     fn key_ignores_absolute_layer_indices() {
-        let cfg = KnapsackConfig::default();
-        let a = leaf_key(&digests_of(&window(0)), Bytes::new(600), cfg);
-        let b = leaf_key(&digests_of(&window(40)), Bytes::new(600), cfg);
+        let a = leaf_key(&digests_of(&window(0)), Bytes::new(600));
+        let b = leaf_key(&digests_of(&window(40)), Bytes::new(600));
         assert_eq!(a, b, "isomorphic windows at different offsets share a key");
     }
 
     #[test]
     fn key_depends_on_budget_config_and_content() {
-        let cfg = KnapsackConfig::default();
         let layers = digests_of(&window(0));
-        let base = leaf_key(&layers, Bytes::new(600), cfg);
-        assert_ne!(base, leaf_key(&layers, Bytes::new(601), cfg));
-        let mut no_gcd = cfg;
-        no_gcd.disable_gcd = true;
-        assert_ne!(base, leaf_key(&layers, Bytes::new(600), no_gcd));
+        let base = leaf_key(&layers, Bytes::new(600));
+        assert_ne!(base, leaf_key(&layers, Bytes::new(601)));
         let mut tweaked = window(0);
         tweaked[1].time_f = MicroSecs::new(5.000001);
         assert_ne!(
             base,
-            leaf_key(&digests_of(&tweaked), Bytes::new(600), cfg),
+            leaf_key(&digests_of(&tweaked), Bytes::new(600)),
             "a single bit-flip in one unit's time must change the key"
         );
         // Layer order matters: the key is positional, not a bag.
         let mut swapped = layers.clone();
         swapped.reverse();
-        assert_ne!(base, leaf_key(&swapped, Bytes::new(600), cfg));
+        assert_ne!(base, leaf_key(&swapped, Bytes::new(600)));
     }
 
     #[test]
@@ -332,7 +324,7 @@ mod tests {
         for budget in [400u64, 600, 900, 2000] {
             let units = window(3);
             let budget = Bytes::new(budget);
-            let fresh = optimize_with(&units, budget, cfg);
+            let fresh = optimize(&units, budget, cfg, &Recorder::disabled());
             let outcome = outcome_of(&fresh).expect("deterministic outcome");
             let rebuilt = rebuild(&units, budget, &outcome);
             assert_eq!(fresh, rebuilt);
@@ -344,7 +336,7 @@ mod tests {
         let cfg = KnapsackConfig::default();
         let units = window(0);
         // Pinned units alone (OutProj 128 + FfnFc2 128) exceed 100.
-        let fresh = optimize_with(&units, Bytes::new(100), cfg);
+        let fresh = optimize(&units, Bytes::new(100), cfg, &Recorder::disabled());
         assert!(fresh.is_err());
         let outcome = outcome_of(&fresh).expect("OOM is cacheable");
         assert_eq!(rebuild(&units, Bytes::new(100), &outcome), fresh);
@@ -353,11 +345,7 @@ mod tests {
     #[test]
     fn store_and_lookup_round_trip_with_accounting() {
         let cache = SubproblemCache::new(16);
-        let key = leaf_key(
-            &digests_of(&window(0)),
-            Bytes::new(600),
-            KnapsackConfig::default(),
-        );
+        let key = leaf_key(&digests_of(&window(0)), Bytes::new(600));
         assert!(cache.lookup(&key).is_none());
         cache.store(
             key,

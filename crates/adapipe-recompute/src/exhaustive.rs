@@ -108,9 +108,10 @@ pub fn optimize_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimize;
+    use crate::{optimize, KnapsackConfig};
     use adapipe_hw::presets as hw;
     use adapipe_model::{presets, LayerRange, ParallelConfig, TrainConfig};
+    use adapipe_obs::Recorder;
     use adapipe_profiler::Profiler;
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
@@ -127,10 +128,13 @@ mod tests {
     fn oracle_matches_knapsack_on_profiled_stages() -> TestResult {
         let us = units(LayerRange::new(1, 4))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
+        let (cfg, off) = (KnapsackConfig::default(), Recorder::disabled());
         for frac in [15u64, 40, 60, 85, 100] {
             let budget = all * frac / 100;
-            let (Ok(dp), Ok(oracle)) = (optimize(&us, budget), optimize_exhaustive(&us, budget))
-            else {
+            let (Ok(dp), Ok(oracle)) = (
+                optimize(&us, budget, cfg, &off),
+                optimize_exhaustive(&us, budget),
+            ) else {
                 continue;
             };
             // The knapsack is exact when the GCD rescaling is lossless

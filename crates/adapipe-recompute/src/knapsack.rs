@@ -44,20 +44,6 @@ pub struct OptimizedStage {
     pub slack_bytes: Bytes,
 }
 
-/// Optimizes the recomputation strategy for one stage with the default
-/// configuration. See [`optimize_with`].
-///
-/// # Errors
-///
-/// Returns [`StrategyError::OutOfMemory`] when the pinned units alone
-/// exceed `budget_per_mb`.
-pub fn optimize(
-    units: &[UnitProfile],
-    budget_per_mb: Bytes,
-) -> Result<OptimizedStage, StrategyError> {
-    optimize_with(units, budget_per_mb, KnapsackConfig::default())
-}
-
 /// Finds the saved-unit set maximizing `Σ Time_f(saved)` subject to
 /// `Σ Mem(saved) ≤ budget_per_mb` — Equations (1)–(2) of the paper.
 ///
@@ -68,22 +54,11 @@ pub fn optimize(
 ///
 /// Pinned units are charged against the budget first; the DP runs only
 /// over the free units, on a memory axis rescaled by the GCD of their
-/// sizes (§5.3).
+/// sizes (§5.3). Pass [`KnapsackConfig::default()`] unless ablating that
+/// rescaling or capping the memory axis.
 ///
-/// # Errors
-///
-/// Returns [`StrategyError::OutOfMemory`] when the pinned units alone
-/// exceed the budget.
-pub fn optimize_with(
-    units: &[UnitProfile],
-    budget_per_mb: Bytes,
-    config: KnapsackConfig,
-) -> Result<OptimizedStage, StrategyError> {
-    optimize_traced(units, budget_per_mb, config, &Recorder::disabled())
-}
-
-/// [`optimize_with`], reporting DP effort to `rec`: per-call wall time
-/// (`recompute.knapsack.us`), cells evaluated
+/// DP effort goes to `rec` (pass [`Recorder::disabled()`] to opt out):
+/// per-call wall time (`recompute.knapsack.us`), cells evaluated
 /// (`recompute.knapsack.cells`), re-bucketing rounds beyond the GCD
 /// scale (`recompute.knapsack.rebuckets`) and the final scale factor
 /// (`recompute.knapsack.gcd_scale` gauge).
@@ -92,7 +67,7 @@ pub fn optimize_with(
 ///
 /// Returns [`StrategyError::OutOfMemory`] when the pinned units alone
 /// exceed the budget.
-pub fn optimize_traced(
+pub fn optimize(
     units: &[UnitProfile],
     budget_per_mb: Bytes,
     config: KnapsackConfig,
@@ -181,7 +156,7 @@ fn optimize_untimed(
 ///
 /// Both biases point the same (conservative) way, so
 /// `Σ scaled-feasible footprints ≤ scale · capacity ≤ budget` holds
-/// exactly; `optimize_traced` debug-asserts it and the
+/// exactly; `optimize` debug-asserts it and the
 /// `rescaled_solution_feasible_in_unscaled_bytes` proptest exercises it
 /// with adversarial sizes and forced re-bucketing.
 fn solve(
@@ -213,9 +188,6 @@ fn solve(
         capacity = convert::u64_usize_saturating(budget.get() / scale);
         rec.incr(keys::KNAPSACK_REBUCKETS);
     }
-    // `scale == g` means both roundings below are exact and the DP is
-    // optimal; the flag is recomputed by the bench ablations.
-    let _exact = scale == g;
     rec.gauge_max(keys::KNAPSACK_GCD_SCALE, convert::u64_f64(scale));
     rec.add(
         keys::KNAPSACK_CELLS,
@@ -283,6 +255,14 @@ mod tests {
 
     type TestResult = Result<(), Box<dyn std::error::Error>>;
 
+    /// [`optimize`] at the default configuration, untraced.
+    fn optimize_default(
+        us: &[UnitProfile],
+        budget: Bytes,
+    ) -> Result<OptimizedStage, StrategyError> {
+        optimize(us, budget, KnapsackConfig::default(), &Recorder::disabled())
+    }
+
     fn units(layers: LayerRange) -> Result<Vec<UnitProfile>, Box<dyn std::error::Error>> {
         let model = presets::gpt2_small();
         let parallel = ParallelConfig::new(2, 4, 1)?;
@@ -302,7 +282,7 @@ mod tests {
     #[test]
     fn unbounded_budget_saves_everything() -> TestResult {
         let us = units(LayerRange::new(1, 6))?;
-        let opt = optimize(&us, Bytes::new(u64::MAX))?;
+        let opt = optimize_default(&us, Bytes::new(u64::MAX))?;
         assert_eq!(opt.strategy.saved_count(), us.len());
         Ok(())
     }
@@ -311,7 +291,7 @@ mod tests {
     fn pinned_overflow_is_oom() -> TestResult {
         let us = units(LayerRange::new(1, 6))?;
         assert!(matches!(
-            optimize(&us, Bytes::ZERO),
+            optimize_default(&us, Bytes::ZERO),
             Err(StrategyError::OutOfMemory { .. })
         ));
         Ok(())
@@ -325,7 +305,7 @@ mod tests {
             .filter(|u| u.is_pinned())
             .map(|u| u.mem_saved)
             .sum();
-        let opt = optimize(&us, pinned)?;
+        let opt = optimize_default(&us, pinned)?;
         assert_eq!(
             opt.strategy.saved_count(),
             us.iter().filter(|u| u.is_pinned()).count()
@@ -341,7 +321,7 @@ mod tests {
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         let mut last_b = MicroSecs::new(f64::INFINITY);
         for frac in [25u64, 50, 75, 100] {
-            let opt = optimize(&us, all * frac / 100)?;
+            let opt = optimize_default(&us, all * frac / 100)?;
             assert!(
                 opt.cost.time_b <= last_b + MicroSecs::new(1e-6),
                 "frac {frac}"
@@ -356,7 +336,7 @@ mod tests {
         let us = units(LayerRange::new(1, 8))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         let budget = all * 60 / 100;
-        let opt = optimize(&us, budget)?;
+        let opt = optimize_default(&us, budget)?;
         assert!(opt.cost.saved_bytes_per_mb <= budget);
         assert_eq!(
             opt.slack_bytes,
@@ -403,7 +383,7 @@ mod tests {
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         for frac in [10u64, 30, 55, 80, 95] {
             let budget = all * frac / 100;
-            let Ok(opt) = optimize(&us, budget) else {
+            let Ok(opt) = optimize_default(&us, budget) else {
                 continue;
             };
             let saved_f: f64 = us
@@ -442,7 +422,7 @@ mod tests {
                 .collect();
             let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
             let budget = all * budget_scale / 100;
-            let opt = match optimize(&us, budget) {
+            let opt = match optimize_default(&us, budget) {
                 Ok(opt) => opt,
                 Err(e) => return Err(TestCaseError::Fail(format!("optimize failed: {e}"))),
             };
@@ -484,10 +464,11 @@ mod tests {
                 .collect();
             let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
             let budget = all * budget_scale / 100;
-            let opt = match optimize_with(
+            let opt = match optimize(
                 &us,
                 budget,
                 KnapsackConfig { max_capacity_cells: cells, disable_gcd: false },
+                &Recorder::disabled(),
             ) {
                 Ok(opt) => opt,
                 Err(e) => return Err(TestCaseError::Fail(format!("optimize failed: {e}"))),
@@ -512,14 +493,15 @@ mod tests {
         let us = units(LayerRange::new(1, 4))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         let budget = all * 60 / 100;
-        let fast = optimize(&us, budget)?;
-        let slow = optimize_with(
+        let fast = optimize_default(&us, budget)?;
+        let slow = optimize(
             &us,
             budget,
             KnapsackConfig {
                 max_capacity_cells: 1 << 26,
                 disable_gcd: true,
             },
+            &Recorder::disabled(),
         )?;
         assert!((fast.cost.time_b - slow.cost.time_b).abs() < MicroSecs::new(1e-3));
         Ok(())
@@ -530,8 +512,8 @@ mod tests {
         let rec = Recorder::new();
         let us = units(LayerRange::new(1, 8))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
-        let opt = optimize_traced(&us, all * 60 / 100, KnapsackConfig::default(), &rec)?;
-        let baseline = optimize(&us, all * 60 / 100)?;
+        let opt = optimize(&us, all * 60 / 100, KnapsackConfig::default(), &rec)?;
+        let baseline = optimize_default(&us, all * 60 / 100)?;
         assert_eq!(opt, baseline, "tracing must not change the result");
         let snap = rec.snapshot();
         assert_eq!(snap.counters["recompute.knapsack.calls"], 1);
@@ -546,8 +528,8 @@ mod tests {
         let rec = Recorder::new();
         let us = units(LayerRange::new(1, 8))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
-        optimize_traced(&us, all * 60 / 100, KnapsackConfig::default(), &rec)?;
-        let oom = optimize_traced(&us, Bytes::ZERO, KnapsackConfig::default(), &rec);
+        optimize(&us, all * 60 / 100, KnapsackConfig::default(), &rec)?;
+        let oom = optimize(&us, Bytes::ZERO, KnapsackConfig::default(), &rec);
         assert!(
             matches!(oom, Err(StrategyError::OutOfMemory { .. })),
             "{oom:?}"
@@ -565,13 +547,14 @@ mod tests {
         let us = units(LayerRange::new(1, 20))?;
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
         let budget = all * 70 / 100;
-        let opt = optimize_with(
+        let opt = optimize(
             &us,
             budget,
             KnapsackConfig {
                 max_capacity_cells: 16,
                 ..Default::default()
             },
+            &Recorder::disabled(),
         )?;
         assert!(opt.cost.saved_bytes_per_mb <= budget);
         // And still save strictly more than the pinned floor.

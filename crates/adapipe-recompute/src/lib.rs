@@ -26,8 +26,9 @@
 //! ```
 //! use adapipe_hw::presets as hw;
 //! use adapipe_model::{presets, LayerRange, ParallelConfig, TrainConfig};
+//! use adapipe_obs::Recorder;
 //! use adapipe_profiler::Profiler;
-//! use adapipe_recompute::{optimize, strategy};
+//! use adapipe_recompute::{optimize, strategy, KnapsackConfig};
 //! use adapipe_units::Bytes;
 //!
 //! let model = presets::gpt2_small();
@@ -37,7 +38,10 @@
 //! let units = table.units_in(LayerRange::new(1, 6));
 //!
 //! let full = strategy::full(&units);
-//! let generous = optimize(&units, Bytes::new(u64::MAX)).expect("unbounded budget is feasible");
+//! // Pass a live `Recorder::new()` instead to collect DP effort metrics.
+//! let (cfg, off) = (KnapsackConfig::default(), Recorder::disabled());
+//! let generous =
+//!     optimize(&units, Bytes::new(u64::MAX), cfg, &off).expect("unbounded budget is feasible");
 //! // With unlimited memory the optimizer saves everything...
 //! assert_eq!(generous.strategy.saved_count(), units.len());
 //! // ...and its backward time beats full recomputation.
@@ -55,6 +59,6 @@ pub mod strategy;
 
 pub use error::StrategyError;
 pub use exhaustive::optimize_exhaustive;
-pub use knapsack::{optimize, optimize_traced, optimize_with, KnapsackConfig, OptimizedStage};
+pub use knapsack::{optimize, KnapsackConfig, OptimizedStage};
 pub use offload::{optimize_hybrid, HybridStage, OffloadLink, UnitDecision};
 pub use strategy::{RecomputeStrategy, StageCost};

@@ -21,6 +21,7 @@
 use crate::error::StrategyError;
 use crate::knapsack::KnapsackConfig;
 use crate::strategy::RecomputeStrategy;
+use adapipe_obs::Recorder;
 use adapipe_profiler::UnitProfile;
 use adapipe_units::{Bytes, BytesPerSec, MicroSecs};
 use serde::{Deserialize, Serialize};
@@ -121,7 +122,12 @@ pub fn optimize_hybrid(
         .zip(&penalty)
         .map(|(u, &p)| UnitProfile { time_f: p, ..*u })
         .collect();
-    let opt = crate::knapsack::optimize_with(&shadow, budget_per_mb, KnapsackConfig::default())?;
+    let opt = crate::knapsack::optimize(
+        &shadow,
+        budget_per_mb,
+        KnapsackConfig::default(),
+        &Recorder::disabled(),
+    )?;
 
     // Materialize decisions; compute the exact hybrid cost from the
     // real unit table.
@@ -216,9 +222,10 @@ mod tests {
     fn offloading_never_hurts_backward_time() {
         let us = units();
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
+        let cfg = KnapsackConfig::default();
         for frac in [20u64, 40, 60, 80] {
             let budget = all * frac / 100;
-            let plain = optimize(&us, budget).unwrap();
+            let plain = optimize(&us, budget, cfg, &Recorder::disabled()).unwrap();
             let hybrid = optimize_hybrid(&us, budget, OffloadLink::pcie4()).unwrap();
             assert!(
                 hybrid.time_b <= plain.cost.time_b + MicroSecs::new(1e-3),
@@ -234,6 +241,7 @@ mod tests {
     fn zero_overlap_slow_bus_degenerates_to_recompute() {
         let us = units();
         let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
+        let cfg = KnapsackConfig::default();
         // A bus so slow that every round trip costs more than recompute.
         let link = OffloadLink {
             bandwidth: BytesPerSec::new(1e6),
@@ -242,7 +250,7 @@ mod tests {
         let hybrid = optimize_hybrid(&us, all / 2, link).unwrap();
         let (_, _, offloaded) = hybrid.counts();
         assert_eq!(offloaded, 0);
-        let plain = optimize(&us, all / 2).unwrap();
+        let plain = optimize(&us, all / 2, cfg, &Recorder::disabled()).unwrap();
         assert!((hybrid.time_b - plain.cost.time_b).abs() < MicroSecs::new(1e-3));
     }
 

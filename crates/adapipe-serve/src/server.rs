@@ -46,9 +46,11 @@
 //! A bounded [`FlightRecorder`] ring notes every incident (backpressure
 //! 503s, deadline rejections and misses, watchdog degradation events,
 //! verify failures). Each incident also dumps the ring to
-//! `flight-<reason>.json` under [`ServeConfig::flight_dir`] (when set),
-//! and `POST /admin/dump` returns the ring as `adapipe-flight/v1` JSON
-//! on demand.
+//! `flight-<reason>.json` under [`ServeConfig::flight_dir`] (when set);
+//! backpressure dumps at most once per `BACKPRESSURE_DUMP_INTERVAL`, so
+//! a 503 flood does not put a disk write on the accept path per
+//! rejection. `POST /admin/dump` returns the ring as
+//! `adapipe-flight/v1` JSON on demand.
 
 use crate::http::{self, Request, Response};
 use crate::queue::{BoundedQueue, PushError};
@@ -81,6 +83,10 @@ const DRAIN_BYTES: usize = 64 * 1024;
 
 /// Longest the acceptor waits on a rejected client to hang up.
 const DRAIN_TIME: Duration = Duration::from_millis(100);
+
+/// Shortest gap between two backpressure flight dumps. Every 503 still
+/// notes its event in the ring; only the disk write is throttled.
+const BACKPRESSURE_DUMP_INTERVAL: Duration = Duration::from_secs(5);
 
 /// Response header carrying the request's trace id.
 const TRACE_HEADER: &str = "X-Adapipe-Trace";
@@ -170,6 +176,11 @@ struct Shared {
     watchdog: Watchdog,
     deadline_log: Mutex<VecDeque<DegradationEvent>>,
     shutting_down: AtomicBool,
+    /// Reference point for `next_backpressure_dump_us`.
+    epoch: Instant,
+    /// Microseconds after `epoch` before which a backpressure 503 does
+    /// not dump the flight ring (0: the next one dumps).
+    next_backpressure_dump_us: AtomicU64,
 }
 
 impl Shared {
@@ -221,6 +232,25 @@ impl Shared {
             .cloned()
             .collect();
         self.watchdog.diagnose(&events)
+    }
+
+    /// Whether this backpressure 503 should dump the flight ring: the
+    /// first one does, then at most one per
+    /// [`BACKPRESSURE_DUMP_INTERVAL`].
+    fn backpressure_dump_due(&self) -> bool {
+        let micros = |d: Duration| u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
+        let now = micros(self.epoch.elapsed());
+        let next = self.next_backpressure_dump_us.load(Ordering::Relaxed);
+        now >= next
+            && self
+                .next_backpressure_dump_us
+                .compare_exchange(
+                    next,
+                    now.saturating_add(micros(BACKPRESSURE_DUMP_INTERVAL)),
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                )
+                .is_ok()
     }
 
     /// Writes the flight ring to `flight-<reason>.json` under the
@@ -292,6 +322,8 @@ impl Server {
             watchdog: Watchdog::default(),
             deadline_log: Mutex::new(VecDeque::with_capacity(DEADLINE_LOG_CAP)),
             shutting_down: AtomicBool::new(false),
+            epoch: Instant::now(),
+            next_backpressure_dump_us: AtomicU64::new(0),
             addr,
             cfg,
         });
@@ -413,7 +445,9 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
                         shared.queue.capacity()
                     ),
                 );
-                shared.dump_flight(keys::FLIGHT_BACKPRESSURE);
+                if shared.backpressure_dump_due() {
+                    shared.dump_flight(keys::FLIGHT_BACKPRESSURE);
+                }
                 respond_overloaded(job.stream, "worker queue is full");
             }
         }

@@ -440,19 +440,22 @@ fn backpressure_and_admin_dump_produce_flight_artifacts() {
     });
 
     // Deterministic 503 flood: six distinct cold digests against one
-    // slow worker and a depth-1 queue.
+    // slow worker and a depth-1 queue. Returns how many were shed.
     let mut req = gpt2_request();
     req.seq_len = 256;
-    let handles: Vec<_> = (0..6)
-        .map(|i| {
-            let addr = addr.clone();
-            let mut req = req.clone();
-            req.global_batch = 8 * (i + 1);
-            std::thread::spawn(move || client::post_plan(&addr, &req.to_wire_text()).unwrap())
-        })
-        .collect();
-    let responses: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let rejected = responses.iter().filter(|r| r.status == 503).count();
+    let flood = |first: usize| {
+        let handles: Vec<_> = (first..first + 6)
+            .map(|i| {
+                let addr = addr.clone();
+                let mut req = req.clone();
+                req.global_batch = 8 * (i + 1);
+                std::thread::spawn(move || client::post_plan(&addr, &req.to_wire_text()).unwrap())
+            })
+            .collect();
+        let responses: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        responses.iter().filter(|r| r.status == 503).count()
+    };
+    let rejected = flood(0);
     assert!(rejected >= 1, "flood must trigger backpressure");
 
     // The automatic dump artifact exists and parses as adapipe-flight/v1.
@@ -468,6 +471,20 @@ fn backpressure_and_admin_dump_produce_flight_artifacts() {
         auto.get("reason").and_then(|s| s.as_str()),
         Some(keys::FLIGHT_BACKPRESSURE)
     );
+
+    // A second flood inside the dump interval (5 s; both floods take
+    // about a second) notes its 503s in the ring but writes no dump.
+    std::fs::remove_file(&auto_path).unwrap();
+    let rejected_again = flood(6);
+    assert!(
+        rejected_again >= 1,
+        "second flood must trigger backpressure"
+    );
+    assert!(
+        !auto_path.exists(),
+        "backpressure dumps are throttled, not written per 503"
+    );
+    let rejected = rejected + rejected_again;
 
     // The on-demand dump returns the ring with the rejection events.
     let dump = client::request(&addr, "POST", "/admin/dump", None).unwrap();

@@ -21,6 +21,7 @@
 //! # Example
 //!
 //! ```
+//! use adapipe_obs::Recorder;
 //! use adapipe_sim::{schedule, simulate, StageExec};
 //! use adapipe_units::{Bytes, MicroSecs};
 //!
@@ -34,9 +35,11 @@
 //!     4
 //! ];
 //! let graph = schedule::one_f_one_b(&stages, 8, MicroSecs::ZERO);
-//! let report = simulate(&graph);
+//! // A live `Recorder::new()` would collect engine effort metrics.
+//! let report = simulate(&graph, &Recorder::disabled())?;
 //! // Balanced 1F1B: (n + p - 1)(f + b) = 11 * 3.
 //! assert!((report.makespan - MicroSecs::new(33.0)).abs() < MicroSecs::new(1e-9));
+//! # Ok::<(), adapipe_sim::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -49,7 +52,7 @@ pub mod schedule;
 mod task;
 pub mod validate;
 
-pub use engine::{simulate, simulate_traced, try_simulate, try_simulate_traced};
+pub use engine::simulate;
 pub use error::SimError;
 pub use report::{DeviceReport, MemorySample, SimReport, TimelineEntry};
 pub use task::{Discipline, OpKind, StageExec, TaskGraph, TaskMeta};

@@ -452,6 +452,12 @@ pub fn interleaved(chunks: &[StageExec], devices: usize, n: usize, p2p: MicroSec
 mod tests {
     use super::*;
     use crate::engine::simulate;
+    use crate::report::SimReport;
+    use adapipe_obs::Recorder;
+
+    fn run(g: &TaskGraph) -> SimReport {
+        simulate(g, &Recorder::disabled()).unwrap()
+    }
 
     fn balanced(p: usize, f: f64, b: f64, saved: u64, buffer: u64) -> Vec<StageExec> {
         vec![
@@ -472,7 +478,7 @@ mod tests {
     fn f1b_matches_closed_form_balanced() {
         for (p, n) in [(2usize, 4usize), (4, 8), (8, 64), (4, 4)] {
             let g = one_f_one_b(&balanced(p, 1.0, 2.0, 0, 0), n, FREE);
-            let r = simulate(&g);
+            let r = run(&g);
             let expect = (n + p - 1) as f64 * 3.0;
             assert!(
                 (r.makespan.as_micros() - expect).abs() < 1e-9,
@@ -486,7 +492,7 @@ mod tests {
     fn f1b_memory_peak_is_p_minus_s_activations() {
         let (p, n, saved, buffer) = (4usize, 12usize, 1000u64, 77u64);
         let g = one_f_one_b(&balanced(p, 1.0, 2.0, saved, buffer), n, FREE);
-        let r = simulate(&g);
+        let r = run(&g);
         for (s, dev) in r.devices.iter().enumerate() {
             let expect = Bytes::new((p - s) as u64 * saved + buffer);
             assert_eq!(dev.peak_dynamic_bytes, expect, "stage {s}");
@@ -513,7 +519,7 @@ mod tests {
     fn gpipe_memory_peak_is_n_activations() {
         let (p, n, saved) = (3usize, 6usize, 500u64);
         let g = gpipe(&balanced(p, 1.0, 2.0, saved, 33), n, FREE);
-        let r = simulate(&g);
+        let r = run(&g);
         for dev in &r.devices {
             assert_eq!(dev.peak_dynamic_bytes, Bytes::new(n as u64 * saved + 33));
         }
@@ -525,8 +531,8 @@ mod tests {
         // count (2(p−1) slots); 1F1B's win is memory.
         let (p, n) = (4usize, 16usize);
         let stages = balanced(p, 1.0, 2.0, 100, 0);
-        let rg = simulate(&gpipe(&stages, n, FREE));
-        let rf = simulate(&one_f_one_b(&stages, n, FREE));
+        let rg = run(&gpipe(&stages, n, FREE));
+        let rf = run(&one_f_one_b(&stages, n, FREE));
         assert!((rg.makespan - rf.makespan).abs() < MicroSecs::new(1e-9));
         assert!(rf.max_peak_dynamic_bytes() < rg.max_peak_dynamic_bytes());
     }
@@ -534,8 +540,8 @@ mod tests {
     #[test]
     fn f1b_p2p_delay_stretches_makespan() {
         let (p, n) = (4usize, 8usize);
-        let no = simulate(&one_f_one_b(&balanced(p, 1.0, 2.0, 0, 0), n, FREE));
-        let with = simulate(&one_f_one_b(
+        let no = run(&one_f_one_b(&balanced(p, 1.0, 2.0, 0, 0), n, FREE));
+        let with = run(&one_f_one_b(
             &balanced(p, 1.0, 2.0, 0, 0),
             n,
             MicroSecs::new(0.25),
@@ -553,7 +559,7 @@ mod tests {
             buffer_bytes: Bytes::ZERO,
         };
         let n = 32;
-        let r = simulate(&one_f_one_b(&stages, n, FREE));
+        let r = run(&one_f_one_b(&stages, n, FREE));
         // Steady phase must run at the bottleneck micro-step (6.0).
         assert!(r.makespan > MicroSecs::new((n - 4) as f64 * 6.0));
     }
@@ -562,7 +568,7 @@ mod tests {
     fn chimera_runs_all_tasks_and_balances_directions() {
         let (p, n) = (4usize, 8usize);
         let g = chimera(&balanced(p, 1.0, 2.0, 10, 1), n, FREE, false);
-        let r = simulate(&g);
+        let r = run(&g);
         assert_eq!(r.timeline.len(), 2 * n * p);
         let down = r.timeline.iter().filter(|e| e.meta.replica == 0).count();
         assert_eq!(down, n * p);
@@ -574,8 +580,8 @@ mod tests {
         // avoids (§7.2 of the paper).
         let (p, n) = (4usize, 32usize);
         let stages = balanced(p, 1.0, 2.0, 0, 0);
-        let rc = simulate(&chimera(&stages, n, FREE, false));
-        let rf = simulate(&one_f_one_b(&stages, n, FREE));
+        let rc = run(&chimera(&stages, n, FREE, false));
+        let rf = run(&one_f_one_b(&stages, n, FREE));
         assert!(
             rc.makespan > rf.makespan,
             "chimera {} vs 1f1b {}",
@@ -588,8 +594,8 @@ mod tests {
     fn chimera_d_never_shrinks_memory_and_doubles_granularity() {
         let (p, n) = (4usize, 16usize);
         let stages = balanced(p, 1.0, 2.0, 1000, 0);
-        let rc = simulate(&chimera(&stages, n, FREE, false));
-        let rd = simulate(&chimera(&stages, n, FREE, true));
+        let rc = run(&chimera(&stages, n, FREE, false));
+        let rd = run(&chimera(&stages, n, FREE, true));
         assert!(rd.max_peak_dynamic_bytes() >= rc.max_peak_dynamic_bytes());
         // Every doubled forward allocates two micro-batches at once.
         let doubled = rd
@@ -606,7 +612,7 @@ mod tests {
         // directions' activations overlap there.
         let (p, n) = (8usize, 16usize);
         let stages = balanced(p, 1.0, 2.0, 1000, 0);
-        let r = simulate(&chimera(&stages, n, FREE, false));
+        let r = run(&chimera(&stages, n, FREE, false));
         let peaks: Vec<Bytes> = r.devices.iter().map(|d| d.peak_dynamic_bytes).collect();
         let mid = peaks[p / 2 - 1].max(peaks[p / 2]);
         assert!(mid >= peaks[0], "peaks {peaks:?}");
@@ -621,8 +627,8 @@ mod tests {
         let plain = balanced(p, 1.0, 2.0, 0, 0);
         // Each of the 2p chunks is half a plain stage.
         let chunks = balanced(2 * p, 0.5, 1.0, 0, 0);
-        let r_plain = simulate(&one_f_one_b(&plain, n, FREE));
-        let r_inter = simulate(&interleaved(&chunks, p, n, FREE));
+        let r_plain = run(&one_f_one_b(&plain, n, FREE));
+        let r_inter = run(&interleaved(&chunks, p, n, FREE));
         assert!(
             r_inter.makespan < r_plain.makespan,
             "interleaved {} vs plain {}",
@@ -639,10 +645,10 @@ mod tests {
         let plain = balanced(p, 1.0, 2.0, 0, 0);
         let chunks = balanced(2 * p, 0.5, 1.0, 0, 0);
         let p2p = MicroSecs::new(0.4);
-        let gain_free = simulate(&one_f_one_b(&plain, n, FREE)).makespan
-            - simulate(&interleaved(&chunks, p, n, FREE)).makespan;
-        let gain_costly = simulate(&one_f_one_b(&plain, n, p2p)).makespan
-            - simulate(&interleaved(&chunks, p, n, p2p)).makespan;
+        let gain_free = run(&one_f_one_b(&plain, n, FREE)).makespan
+            - run(&interleaved(&chunks, p, n, FREE)).makespan;
+        let gain_costly = run(&one_f_one_b(&plain, n, p2p)).makespan
+            - run(&interleaved(&chunks, p, n, p2p)).makespan;
         assert!(gain_costly < gain_free, "{gain_costly} !< {gain_free}");
     }
 
@@ -650,7 +656,7 @@ mod tests {
     fn interleaved_runs_every_task_once() {
         let (p, n, v) = (3usize, 6usize, 3usize);
         let chunks = balanced(v * p, 0.4, 0.8, 7, 1);
-        let r = simulate(&interleaved(&chunks, p, n, MicroSecs::new(0.01)));
+        let r = run(&interleaved(&chunks, p, n, MicroSecs::new(0.01)));
         assert_eq!(r.timeline.len(), 2 * n * v * p);
         // Device d runs exactly its own virtual stages.
         for e in &r.timeline {
@@ -662,8 +668,8 @@ mod tests {
     fn interleaved_with_v1_matches_plain_1f1b_memory() {
         let (p, n) = (4usize, 8usize);
         let stages = balanced(p, 1.0, 2.0, 100, 3);
-        let plain = simulate(&one_f_one_b(&stages, n, FREE));
-        let inter = simulate(&interleaved(&stages, p, n, FREE));
+        let plain = run(&one_f_one_b(&stages, n, FREE));
+        let inter = run(&interleaved(&stages, p, n, FREE));
         // v = 1: same chunk-per-device layout; peaks must match 1F1B's
         // (p - s) law.
         for (s, (a, b)) in plain.devices.iter().zip(&inter.devices).enumerate() {

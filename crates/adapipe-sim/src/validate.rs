@@ -179,7 +179,13 @@ mod tests {
     use crate::engine::simulate;
     use crate::schedule;
     use crate::task::StageExec;
+    use crate::task::TaskGraph;
+    use adapipe_obs::Recorder;
     use adapipe_units::{Bytes, MicroSecs};
+
+    fn run(g: &TaskGraph) -> SimReport {
+        simulate(g, &Recorder::disabled()).unwrap()
+    }
 
     fn stages(p: usize) -> Vec<StageExec> {
         vec![
@@ -198,17 +204,17 @@ mod tests {
         let (p, n) = (4usize, 8usize);
         let st = stages(p);
         let p2p = MicroSecs::new(0.01);
-        check(&simulate(&schedule::one_f_one_b(&st, n, p2p)), 1).unwrap();
-        check(&simulate(&schedule::gpipe(&st, n, p2p)), 1).unwrap();
-        check(&simulate(&schedule::chimera(&st, n, p2p, false)), 1).unwrap();
-        check(&simulate(&schedule::chimera(&st, n, p2p, true)), 2).unwrap();
+        check(&run(&schedule::one_f_one_b(&st, n, p2p)), 1).unwrap();
+        check(&run(&schedule::gpipe(&st, n, p2p)), 1).unwrap();
+        check(&run(&schedule::chimera(&st, n, p2p, false)), 1).unwrap();
+        check(&run(&schedule::chimera(&st, n, p2p, true)), 2).unwrap();
         let chunks = stages(2 * p);
-        check(&simulate(&schedule::interleaved(&chunks, p, n, p2p)), 1).unwrap();
+        check(&run(&schedule::interleaved(&chunks, p, n, p2p)), 1).unwrap();
     }
 
     #[test]
     fn detects_backward_before_forward() {
-        let mut report = simulate(&schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO));
+        let mut report = run(&schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO));
         // Corrupt: move a backward before everything.
         let idx = report
             .timeline
@@ -232,7 +238,7 @@ mod tests {
 
     #[test]
     fn detects_device_overlap() {
-        let mut report = simulate(&schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO));
+        let mut report = run(&schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO));
         // Corrupt: stretch the first task over its successor.
         report.timeline[0].end += MicroSecs::new(100.0);
         // Re-sorting is the caller's contract; keep order and stretch.
@@ -244,7 +250,7 @@ mod tests {
 
     #[test]
     fn detects_unbalanced_passes() {
-        let mut report = simulate(&schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO));
+        let mut report = run(&schedule::one_f_one_b(&stages(2), 4, MicroSecs::ZERO));
         let idx = report
             .timeline
             .iter()
@@ -259,7 +265,7 @@ mod tests {
 
     #[test]
     fn budget_check_flags_the_overrunning_device() {
-        let report = simulate(&schedule::one_f_one_b(&stages(3), 6, MicroSecs::ZERO));
+        let report = run(&schedule::one_f_one_b(&stages(3), 6, MicroSecs::ZERO));
         // Stage 0 peaks at p = 3 saved "bytes"; a budget of 2 overruns.
         match check_budgets(&report, &[Bytes::new(2)]).unwrap_err() {
             SimError::BudgetExceeded {

@@ -26,7 +26,7 @@ use adapipe_faults::{
 };
 use adapipe_model::{ParallelConfig, TrainConfig};
 use adapipe_obs::keys;
-use adapipe_sim::{schedule, try_simulate_traced, StageExec};
+use adapipe_sim::{schedule, simulate, StageExec};
 use adapipe_units::Bytes;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -145,10 +145,8 @@ impl Planner {
             let execs = degraded_stage_execs(&planned, &clock);
             let mut graph = schedule::one_f_one_b(&execs, ctx.n, p2p);
             apply_stalls(&mut graph, &mut clock, cfg.steps);
-            let report = try_simulate_traced(&graph, self.recorder()).map_err(|e| {
-                PlanError::Unsupported {
-                    reason: format!("chaos injection broke the schedule: {e}"),
-                }
+            let report = simulate(&graph, self.recorder()).map_err(|e| PlanError::Unsupported {
+                reason: format!("chaos injection broke the schedule: {e}"),
             })?;
             events.push(cfg.watchdog.scan(&report, &planned, &budgets));
             clock.advance();

@@ -91,11 +91,12 @@ impl SyntheticInstance {
         let provider = SyntheticProvider {
             layer_times: &self.layer_times,
         };
-        algorithm1::solve(
+        algorithm1::solve_traced(
             &provider,
             self.layer_times.len(),
             self.stages,
             self.micro_batches,
+            &Recorder::disabled(),
         )
         .map(|plan| plan.iteration_time())
     }
@@ -289,7 +290,8 @@ pub fn check_model_grid(rec: &Recorder) -> Vec<Diagnostic> {
             cap: MODEL_GRID_FREE_CAP,
         };
 
-        let dp = algorithm1::solve(&dp_provider, seq.len(), p, n).map(|pl| pl.iteration_time());
+        let dp = algorithm1::solve_traced(&dp_provider, seq.len(), p, n, &Recorder::disabled())
+            .map(|pl| pl.iteration_time());
         let oracle =
             exhaustive::solve(&oracle_provider, seq.len(), p, n).map(|pl| pl.iteration_time());
         match (dp, oracle) {

@@ -11,8 +11,8 @@ use adapipe_partition::{
     algorithm1, f1b_iteration_time, subcache, KnapsackCostProvider, StageTimes,
 };
 use adapipe_profiler::{ProfileTable, Profiler};
-use adapipe_recompute::{strategy, KnapsackConfig, RecomputeStrategy};
-use adapipe_sim::{schedule, simulate_traced, StageExec};
+use adapipe_recompute::{strategy, RecomputeStrategy};
+use adapipe_sim::{schedule, simulate, StageExec};
 use adapipe_units::{convert, Bytes, Flops, FlopsPerSec};
 use std::sync::Arc;
 
@@ -28,7 +28,6 @@ pub struct Planner {
     /// paper runs its DP against a conservative 70 GB limit on 80 GB
     /// devices (§7.4); 0.875 reproduces that.
     search_headroom: f64,
-    knapsack: KnapsackConfig,
     rec: Recorder,
     /// Exec pool for parallel leaf prefill; `None` keeps the
     /// search fully serial (the default — plans are byte-identical
@@ -58,7 +57,6 @@ impl Planner {
             cluster,
             optimizer: OptimizerSpec::adam_fp32(),
             search_headroom: 0.875,
-            knapsack: KnapsackConfig::default(),
             rec: Recorder::disabled(),
             exec: None,
             shared_subcache: false,
@@ -105,14 +103,6 @@ impl Planner {
     #[must_use]
     pub fn recorder(&self) -> &Recorder {
         &self.rec
-    }
-
-    /// Overrides the recomputation-knapsack tuning (coarser memory cells
-    /// trade a sliver of plan quality for faster sweeps).
-    #[must_use]
-    pub fn with_knapsack_config(mut self, knapsack: KnapsackConfig) -> Self {
-        self.knapsack = knapsack;
-        self
     }
 
     /// Overrides the optimizer memory description.
@@ -163,10 +153,6 @@ impl Planner {
 
     pub(crate) fn exec_pool(&self) -> Option<&ExecPool> {
         self.exec.as_deref()
-    }
-
-    pub(crate) fn knapsack_config(&self) -> KnapsackConfig {
-        self.knapsack
     }
 
     pub(crate) fn context(&self, parallel: ParallelConfig, train: TrainConfig) -> Context {
@@ -292,7 +278,6 @@ impl Planner {
     fn adaptive_provider<'a>(&self, ctx: &'a Context) -> KnapsackCostProvider<'a> {
         let provider =
             KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
-                .with_knapsack_config(self.knapsack)
                 .with_recorder(self.rec.clone());
         if self.shared_subcache {
             provider.with_subproblem_cache(subcache::global())
@@ -505,7 +490,8 @@ impl Planner {
     /// # Panics
     ///
     /// Panics if the plan's stage count does not match its parallel
-    /// configuration (corrupted plan).
+    /// configuration (corrupted plan), or if the generated schedule
+    /// deadlocks (a schedule-generator bug).
     #[must_use]
     pub fn evaluate(&self, plan: &Plan) -> Evaluation {
         let _span = self
@@ -532,7 +518,14 @@ impl Planner {
         }
         let mut report = {
             let _span = self.rec.span_cat(keys::SPAN_EVALUATE_SIMULATE, "planner");
-            simulate_traced(&graph, &self.rec)
+            match simulate(&graph, &self.rec) {
+                Ok(report) => report,
+                // lint: allow(panic): the shipped schedule generators never
+                // emit a cyclic graph, so a deadlock here is a generator
+                // bug, not a property of the plan; `chaos` maps it to a
+                // typed error for fault-injected graphs instead.
+                Err(e) => panic!("{e}"),
+            }
         };
 
         // End-of-iteration gradient all-reduce across the data-parallel

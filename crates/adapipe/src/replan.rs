@@ -273,7 +273,6 @@ impl Planner {
         let p = stale.parallel.pipeline();
         let make_provider = |capacity: Bytes| {
             KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, capacity)
-                .with_knapsack_config(self.knapsack_config())
                 .with_recorder(self.recorder().clone())
                 .with_isomorphism_cache(cfg.iso_cache)
         };

@@ -192,10 +192,8 @@ impl Planner {
             .recorder()
             .span_cat(keys::SPAN_VERIFY_ISO_SPOT_CHECK, "planner");
         let cached =
-            KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
-                .with_knapsack_config(self.knapsack_config());
+            KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity());
         let raw = KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
-            .with_knapsack_config(self.knapsack_config())
             .with_isomorphism_cache(false);
         let tasks: Vec<(usize, bool)> = (0..ranges.len())
             .flat_map(|s| [(s, true), (s, false)])

@@ -9,9 +9,8 @@
 use std::path::{Path, PathBuf};
 use xtask::lint::{
     check_bounded_channel, check_float_eq, check_index_confusion, check_panic_freedom,
-    check_raw_quantities, check_stringly_metric, check_swallowed_result, check_traced_pairs,
-    check_unchecked_cast, check_unpooled_thread, check_unsafe_header, check_waiver_reasons,
-    Violation,
+    check_raw_quantities, check_stringly_metric, check_swallowed_result, check_unchecked_cast,
+    check_unpooled_thread, check_unsafe_header, check_waiver_reasons, Violation,
 };
 use xtask::source::SourceFile;
 
@@ -44,7 +43,6 @@ fn each_rule_fires_on_its_fixture_and_respects_waivers() {
         ("panic", "panic.rs", check_panic_freedom),
         ("index", "index.rs", check_panic_freedom),
         ("float-eq", "float_eq.rs", check_float_eq),
-        ("traced-pair", "traced_pair.rs", check_traced_pairs),
         (
             "raw-quantity-in-api",
             "raw_quantity_in_api.rs",

@@ -15,6 +15,7 @@
 use adapipe_hw::presets as hw;
 use adapipe_memory::{MemoryModel, OptimizerSpec};
 use adapipe_model::{presets, LayerSeq, ParallelConfig, TrainConfig};
+use adapipe_obs::Recorder;
 use adapipe_partition::{algorithm1, KnapsackCostProvider};
 use adapipe_profiler::{ProfileTable, Profiler, UnitProfile};
 use adapipe_units::{Bytes, MicroSecs};
@@ -52,8 +53,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mem = MemoryModel::new(model.clone(), parallel, OptimizerSpec::adam_fp32());
     let capacity = Bytes::new((hw::a100_80gb().usable_bytes().as_f64() * 0.875) as u64);
     let provider = KnapsackCostProvider::new(&seq, &measured, &mem, capacity);
-    let plan = algorithm1::solve(&provider, seq.len(), parallel.pipeline(), 32)
-        .ok_or("no feasible plan")?;
+    let (p, off) = (parallel.pipeline(), Recorder::disabled());
+    let plan =
+        algorithm1::solve_traced(&provider, seq.len(), p, 32, &off).ok_or("no feasible plan")?;
 
     println!("plan from measured profiles (GPT-3, seq 16384, (8,8,1)):");
     for (s, (range, times)) in plan.ranges.iter().zip(&plan.stage_times).enumerate() {
@@ -68,8 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sanity: the measured-profile plan should be close to the
     // analytic-profile plan (the jitter is ~1 %).
     let reference = KnapsackCostProvider::new(&seq, &analytic, &mem, capacity);
-    let ref_plan = algorithm1::solve(&reference, seq.len(), parallel.pipeline(), 32)
-        .ok_or("no reference plan")?;
+    let ref_plan =
+        algorithm1::solve_traced(&reference, seq.len(), p, 32, &off).ok_or("no reference plan")?;
     let rel = (plan.iteration_time() - ref_plan.iteration_time()).abs() / ref_plan.iteration_time();
     println!(
         "vs analytic-profile plan: {:.3}s ({:+.2}%)",
