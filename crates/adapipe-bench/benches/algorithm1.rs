@@ -4,12 +4,28 @@
 
 use adapipe_hw::presets as hw;
 use adapipe_memory::{MemoryModel, OptimizerSpec};
-use adapipe_model::{presets, LayerSeq, ParallelConfig, TrainConfig};
+use adapipe_model::{presets, LayerRange, LayerSeq, ParallelConfig, TrainConfig};
 use adapipe_obs::Recorder;
-use adapipe_partition::{algorithm1, KnapsackCostProvider};
+use adapipe_partition::algorithm1::{self, PartitionPlan};
+use adapipe_partition::{KnapsackCostProvider, StageCostProvider, StageTimes};
 use adapipe_profiler::Profiler;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
+
+/// The `no_cache` arm: every query re-solves its knapsack through
+/// `optimize_stage`, which never consults the class table.
+struct Uncached<'a>(KnapsackCostProvider<'a>);
+
+impl StageCostProvider for Uncached<'_> {
+    fn stage_times(&self, stage: usize, range: LayerRange) -> Option<StageTimes> {
+        let opt = self.0.optimize_stage(stage, range).ok()?;
+        Some(StageTimes::from(&opt.cost))
+    }
+}
+
+fn solve(provider: &impl StageCostProvider, layers: usize, n: usize) -> PartitionPlan {
+    algorithm1::solve_traced(black_box(provider), layers, 8, n, &Recorder::disabled()).unwrap()
+}
 
 fn bench_algorithm1(c: &mut Criterion) {
     let model = presets::gpt3_175b();
@@ -21,26 +37,16 @@ fn bench_algorithm1(c: &mut Criterion) {
     let capacity =
         adapipe_units::Bytes::new((hw::a100_80gb().usable_bytes().as_f64() * 0.875) as u64);
     let n = train.micro_batches(&parallel);
+    let provider = || KnapsackCostProvider::new(&seq, &table, &mem, capacity);
 
     let mut group = c.benchmark_group("algorithm1");
     group.sample_size(10);
-    for iso_cache in [true, false] {
-        let label = if iso_cache { "iso_cache" } else { "no_cache" };
-        group.bench_function(BenchmarkId::new(label, "gpt3_p8"), |b| {
-            b.iter(|| {
-                let provider = KnapsackCostProvider::new(&seq, &table, &mem, capacity)
-                    .with_isomorphism_cache(iso_cache);
-                algorithm1::solve_traced(
-                    black_box(&provider),
-                    seq.len(),
-                    8,
-                    n,
-                    &Recorder::disabled(),
-                )
-                .unwrap()
-            });
-        });
-    }
+    group.bench_function(BenchmarkId::new("iso_cache", "gpt3_p8"), |b| {
+        b.iter(|| solve(&provider(), seq.len(), n));
+    });
+    group.bench_function(BenchmarkId::new("no_cache", "gpt3_p8"), |b| {
+        b.iter(|| solve(&Uncached(provider()), seq.len(), n));
+    });
     group.finish();
 }
 

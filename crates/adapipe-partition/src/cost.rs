@@ -1,5 +1,6 @@
 //! The analytic 1F1B cost model (§5.1, Equation (3)).
 
+use adapipe_recompute::StageCost;
 use adapipe_units::{convert, MicroSecs};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -19,6 +20,17 @@ impl StageTimes {
     #[must_use]
     pub fn micro_step(&self) -> MicroSecs {
         self.f + self.b
+    }
+}
+
+/// The Eq. (3) view of an optimized stage: its forward and backward
+/// times, without the memory footprint.
+impl From<&StageCost> for StageTimes {
+    fn from(cost: &StageCost) -> Self {
+        StageTimes {
+            f: cost.time_f,
+            b: cost.time_b,
+        }
     }
 }
 

@@ -85,8 +85,7 @@ struct ClassTable {
 }
 
 impl ClassTable {
-    /// A table for `stages` stages of a `layers`-layer sequence; zero
-    /// stages is a disabled cache.
+    /// A table for `stages` stages of a `layers`-layer sequence.
     fn new(layers: usize, stages: usize) -> Self {
         ClassTable {
             layers,
@@ -214,19 +213,6 @@ impl<'a> KnapsackCostProvider<'a> {
         }
     }
 
-    /// Enables or disables the §5.3 isomorphism cache (disable only for
-    /// the ablation benchmark; results are identical either way).
-    #[must_use]
-    pub fn with_isomorphism_cache(mut self, enabled: bool) -> Self {
-        let stages = if enabled {
-            self.mem.parallel().pipeline()
-        } else {
-            0
-        };
-        self.classes = ClassTable::new(self.seq.len(), stages);
-        self
-    }
-
     /// Attaches a content-addressed subproblem cache consulted (and
     /// filled) by every leaf evaluation. Pass
     /// [`subcache::global()`](crate::subcache::global) to share leaves
@@ -266,7 +252,9 @@ impl<'a> KnapsackCostProvider<'a> {
 
     /// Runs the full knapsack for one concrete stage assignment,
     /// returning the chosen strategy (used to materialize the final plan
-    /// after Algorithm 1 picks the boundaries).
+    /// after Algorithm 1 picks the boundaries). Never consults or fills
+    /// the §5.3 class table, so it is also the uncached leaf every
+    /// cached answer is checked against.
     ///
     /// # Errors
     ///
@@ -321,10 +309,9 @@ impl<'a> KnapsackCostProvider<'a> {
     /// different plan — the DP itself stays serial and the leaves are
     /// pure, which is the byte-identity argument (docs/parallel.md).
     ///
-    /// No-op (0 computed) when the isomorphism cache is disabled or the
-    /// pool has a single worker; each computed representative counts as
-    /// one isomorphism-cache miss, exactly as it would when the DP
-    /// discovered it serially.
+    /// No-op (0 computed) when the pool has a single worker; each
+    /// computed representative counts as one isomorphism-cache miss,
+    /// exactly as it would when the DP discovered it serially.
     ///
     /// # Errors
     ///
@@ -369,11 +356,7 @@ impl<'a> KnapsackCostProvider<'a> {
             self.rec
                 .observe(keys::PARTITION_LEAF_US, t0.elapsed().as_secs_f64() * 1e6);
         }
-        let opt = opt?;
-        Some(StageTimes {
-            f: opt.cost.time_f,
-            b: opt.cost.time_b,
-        })
+        Some(StageTimes::from(&opt?.cost))
     }
 }
 
@@ -474,10 +457,7 @@ impl StageCostProvider for OracleCostProvider<'_> {
         let result = self
             .optimize_stage(stage, range)
             .ok()
-            .map(|opt| StageTimes {
-                f: opt.cost.time_f,
-                b: opt.cost.time_b,
-            });
+            .map(|opt| StageTimes::from(&opt.cost));
         self.cache.borrow_mut().insert((stage, range), result);
         result
     }
@@ -514,15 +494,18 @@ mod tests {
             1024,
         );
         let cached = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
-        let raw = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80))
-            .with_isomorphism_cache(false);
         let l = fx.seq.len();
         let mut queries = 0u64;
         for stage in 0..4 {
             for first in 0..l {
                 for last in first..l {
                     let r = LayerRange::new(first, last);
-                    let expect = raw.stage_times(stage, r);
+                    // `optimize_stage` never touches the class table:
+                    // it is the uncached leaf.
+                    let expect = cached
+                        .optimize_stage(stage, r)
+                        .ok()
+                        .map(|opt| StageTimes::from(&opt.cost));
                     assert_eq!(cached.stage_times(stage, r), expect, "stage {stage} {r}");
                     queries += 1;
                 }
@@ -539,13 +522,6 @@ mod tests {
             CacheStats {
                 hits: queries - classes,
                 misses: classes,
-            }
-        );
-        assert_eq!(
-            raw.cache_stats(),
-            CacheStats {
-                hits: 0,
-                misses: queries,
             }
         );
         // A stage past the pipeline has no slot: it is answered (no

@@ -73,14 +73,7 @@ impl Planner {
     pub fn certificate(&self, plan: &Plan) -> Option<Certificate> {
         let plan_cost = plan.predicted_time()?;
         let capacity = self.capacity();
-        let fits = plan.stages.iter().all(|s| {
-            s.memory
-                .static_bytes
-                .saturating_add(s.memory.buffer_bytes)
-                .saturating_add(s.memory.intermediate_bytes)
-                .fits(capacity)
-        });
-        if !fits {
+        if !plan.stages.iter().all(|s| s.memory.fits(capacity)) {
             return None;
         }
         let ctx = self.context(plan.parallel, plan.train);

@@ -16,7 +16,7 @@
 // lint: allow-file(swallowed-result): fmt::Write into a String cannot fail
 use crate::error::PlanError;
 use crate::method::Method;
-use crate::plan::Plan;
+use crate::plan::{Plan, StagePlan};
 use crate::planner::Planner;
 use crate::replan::{ReplanConfig, ReplanOutcome};
 use adapipe_check::CheckReport;
@@ -43,8 +43,6 @@ pub struct ChaosConfig {
     pub watchdog: Watchdog,
     /// Retry ladder for transient stalls.
     pub retry: RetryPolicy,
-    /// Warm-start the replan with the §5.3 isomorphism cache.
-    pub iso_cache: bool,
 }
 
 impl Default for ChaosConfig {
@@ -53,7 +51,6 @@ impl Default for ChaosConfig {
             steps: 4,
             watchdog: Watchdog::default(),
             retry: RetryPolicy::default(),
-            iso_cache: true,
         }
     }
 }
@@ -113,16 +110,7 @@ impl Planner {
         let stale = self.plan(Method::AdaPipe, parallel, train)?;
         let ctx = self.context(parallel, train);
 
-        let planned: Vec<StageExec> = stale
-            .stages
-            .iter()
-            .map(|s| StageExec {
-                time_f: s.cost.time_f,
-                time_b: s.cost.time_b,
-                saved_bytes: s.cost.saved_bytes_per_mb,
-                buffer_bytes: s.memory.buffer_bytes,
-            })
-            .collect();
+        let planned: Vec<StageExec> = stale.stages.iter().map(StagePlan::exec).collect();
         // Dynamic-memory budgets per device: the Eq. (1)-(2) search
         // budget, less any injected pressure, less the stage's static
         // residents.
@@ -156,7 +144,6 @@ impl Planner {
         let diagnosis = cfg.watchdog.diagnose(&flat);
         let replan_cfg = ReplanConfig {
             retry: cfg.retry,
-            iso_cache: cfg.iso_cache,
             detected_at_step: cfg.steps.saturating_sub(1),
         };
         let replan = self.replan(&stale, degraded, &diagnosis, &replan_cfg)?;

@@ -1,8 +1,9 @@
 use crate::method::Method;
 use adapipe_memory::StageMemory;
 use adapipe_model::{LayerRange, ParallelConfig, TrainConfig};
-use adapipe_partition::F1bBreakdown;
+use adapipe_partition::{F1bBreakdown, StageTimes};
 use adapipe_recompute::{RecomputeStrategy, StageCost};
+use adapipe_sim::StageExec;
 use adapipe_units::MicroSecs;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -39,6 +40,17 @@ impl StagePlan {
     pub fn micro_step(&self) -> MicroSecs {
         self.cost.time_f + self.cost.time_b
     }
+
+    /// What the simulator's schedule generators execute for this stage.
+    #[must_use]
+    pub(crate) fn exec(&self) -> StageExec {
+        StageExec {
+            time_f: self.cost.time_f,
+            time_b: self.cost.time_b,
+            saved_bytes: self.cost.saved_bytes_per_mb,
+            buffer_bytes: self.memory.buffer_bytes,
+        }
+    }
 }
 
 /// A complete training plan: partitioning + per-stage recomputation, with
@@ -66,6 +78,16 @@ impl Plan {
     #[must_use]
     pub fn predicted_time(&self) -> Option<MicroSecs> {
         self.predicted.map(|b| b.total())
+    }
+
+    /// Per-stage forward/backward times, the input of the Eq. (3)
+    /// model.
+    #[must_use]
+    pub(crate) fn stage_times(&self) -> Vec<StageTimes> {
+        self.stages
+            .iter()
+            .map(|s| StageTimes::from(&s.cost))
+            .collect()
     }
 
     /// The per-stage layer ranges.

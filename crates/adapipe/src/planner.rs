@@ -4,14 +4,14 @@ use crate::method::Method;
 use crate::plan::{Plan, StagePlan};
 use adapipe_exec::ExecPool;
 use adapipe_hw::ClusterSpec;
-use adapipe_memory::{f1b_live_microbatches, MemoryModel, OptimizerSpec, StageMemory};
+use adapipe_memory::{MemoryModel, OptimizerSpec, StageMemory};
 use adapipe_model::{LayerRange, LayerSeq, ModelSpec, ParallelConfig, TrainConfig};
 use adapipe_obs::{keys, Recorder};
 use adapipe_partition::{
-    algorithm1, f1b_iteration_time, subcache, KnapsackCostProvider, StageTimes,
+    algorithm1, f1b_iteration_time, subcache, F1bBreakdown, KnapsackCostProvider,
 };
 use adapipe_profiler::{ProfileTable, Profiler};
-use adapipe_recompute::{strategy, RecomputeStrategy};
+use adapipe_recompute::{strategy, RecomputeStrategy, StageCost};
 use adapipe_sim::{schedule, simulate, StageExec};
 use adapipe_units::{convert, Bytes, Flops, FlopsPerSec};
 use std::sync::Arc;
@@ -224,30 +224,15 @@ impl Planner {
             _ => self.plan_fixed(&ctx, parallel, method),
         };
 
-        let predicted = match method {
-            Method::GpipeFull | Method::GpipeNone => None,
-            Method::InterleavedFull | Method::InterleavedNone => None,
-            m if m.is_chimera() => None,
-            _ => {
-                let times: Vec<StageTimes> = stages
-                    .iter()
-                    .map(|s| StageTimes {
-                        f: s.cost.time_f,
-                        b: s.cost.time_b,
-                    })
-                    .collect();
-                Some(f1b_iteration_time(&times, ctx.n))
-            }
-        };
-
-        let plan = Plan {
+        let mut plan = Plan {
             method,
             parallel,
             train,
             n_microbatches: ctx.n,
             stages,
-            predicted,
+            predicted: None,
         };
+        plan.predicted = predicted_breakdown(&plan);
         // Search-engine self-check: in debug builds every emitted plan
         // must pass the full static invariant catalog (memory overflow
         // stays a warning for baselines — the paper reports those as OOM
@@ -326,7 +311,7 @@ impl Planner {
         .ok_or(PlanError::OutOfMemory {
             context: "adaptive partitioning DP",
         })?;
-        self.materialize_adaptive(ctx, parallel, &provider, &plan.ranges)
+        self.materialize_adaptive(ctx, Method::AdaPipe, &provider, &plan.ranges)
     }
 
     /// Even Partitioning ablation: baseline boundaries, adaptive
@@ -340,13 +325,13 @@ impl Planner {
         // the work, so the even ablation gets the subcache but no pool.
         let provider = self.adaptive_provider(ctx);
         let ranges = ctx.seq.even_partition(parallel.pipeline());
-        self.materialize_adaptive(ctx, parallel, &provider, &ranges)
+        self.materialize_adaptive(ctx, Method::EvenPartitioning, &provider, &ranges)
     }
 
     fn materialize_adaptive(
         &self,
         ctx: &Context,
-        parallel: ParallelConfig,
+        method: Method,
         provider: &KnapsackCostProvider<'_>,
         ranges: &[LayerRange],
     ) -> Result<Vec<StagePlan>, PlanError> {
@@ -365,19 +350,7 @@ impl Planner {
         let mut stages = Vec::with_capacity(ranges.len());
         for (s, &range) in ranges.iter().enumerate() {
             let opt = provider.optimize_stage(s, range)?;
-            let units = ctx.table.units_in(range);
-            let buffer = strategy::buffer_bytes_of(&units, &opt.strategy);
-            let live = f1b_live_microbatches(parallel.pipeline(), s) as u64;
-            stages.push(StagePlan {
-                range,
-                memory: StageMemory {
-                    static_bytes: ctx.mem.static_bytes(&ctx.seq, range),
-                    buffer_bytes: buffer,
-                    intermediate_bytes: live * opt.cost.saved_bytes_per_mb,
-                },
-                strategy: opt.strategy,
-                cost: opt.cost,
-            });
+            stages.push(stage_plan(ctx, method, ranges, s, opt.strategy, opt.cost));
         }
         Ok(stages)
     }
@@ -407,22 +380,7 @@ impl Planner {
                     strategy::full(&units)
                 };
                 let cost = strategy::cost_of(&units, &strat);
-                let buffer = strategy::buffer_bytes_of(&units, &strat);
-                // Live micro-batch counts: p − s for 1F1B; all n for
-                // GPipe; Chimera holds both directions' activations with
-                // a direction-dependent profile — we charge the analytic
-                // worst case here and let the simulator refine it.
-                let live = method.live_microbatches(p, s, ctx.n) as u64;
-                StagePlan {
-                    range,
-                    memory: StageMemory {
-                        static_bytes: expected_static_bytes(ctx, method, &ranges, s),
-                        buffer_bytes: buffer,
-                        intermediate_bytes: live * cost.saved_bytes_per_mb,
-                    },
-                    strategy: strat,
-                    cost,
-                }
+                stage_plan(ctx, method, &ranges, s, strat, cost)
             })
             .collect()
     }
@@ -457,16 +415,7 @@ impl Planner {
     /// diagnostics instead.
     pub(crate) fn build_schedule(&self, plan: &Plan, ctx: &Context) -> adapipe_sim::TaskGraph {
         let p = plan.parallel.pipeline();
-        let execs: Vec<StageExec> = plan
-            .stages
-            .iter()
-            .map(|s| StageExec {
-                time_f: s.cost.time_f,
-                time_b: s.cost.time_b,
-                saved_bytes: s.cost.saved_bytes_per_mb,
-                buffer_bytes: s.memory.buffer_bytes,
-            })
-            .collect();
+        let execs: Vec<StageExec> = plan.stages.iter().map(StagePlan::exec).collect();
         let p2p = self.cluster.p2p_time(ctx.table.boundary_bytes());
         match plan.method {
             Method::GpipeFull | Method::GpipeNone => schedule::gpipe(&execs, ctx.n, p2p),
@@ -579,20 +528,57 @@ impl Planner {
     }
 }
 
+/// Builds stage `s` of a `method` plan over `ranges` from its chosen
+/// `strategy` and `cost`, with the §4.2 memory breakdown: static bytes,
+/// the strategy's recompute buffer, and the method's live micro-batches
+/// × saved bytes per micro-batch. Live counts are `p − s` for 1F1B and
+/// all `n` for GPipe; Chimera holds both directions' activations with a
+/// direction-dependent profile, so it is charged the analytic worst
+/// case and the simulator refines it.
+///
+/// Plan materialization, replanning and the verifier's
+/// memory-accounting check all build stages here, so the check is exact
+/// by construction.
+pub(crate) fn stage_plan(
+    ctx: &Context,
+    method: Method,
+    ranges: &[LayerRange],
+    s: usize,
+    strategy: RecomputeStrategy,
+    cost: StageCost,
+) -> StagePlan {
+    let range = ranges[s];
+    let units = ctx.table.units_in(range);
+    let live = method.live_microbatches(ctx.mem.parallel().pipeline(), s, ctx.n) as u64;
+    StagePlan {
+        range,
+        memory: StageMemory {
+            static_bytes: static_bytes(ctx, method, ranges, s),
+            buffer_bytes: strategy::buffer_bytes_of(&units, &strategy),
+            intermediate_bytes: live * cost.saved_bytes_per_mb,
+        },
+        strategy,
+        cost,
+    }
+}
+
+/// The analytic Eq. (3) breakdown of `plan`, or `None` for the schedules
+/// that model does not cover (GPipe, interleaved, Chimera).
+pub(crate) fn predicted_breakdown(plan: &Plan) -> Option<F1bBreakdown> {
+    match plan.method {
+        Method::GpipeFull | Method::GpipeNone => None,
+        Method::InterleavedFull | Method::InterleavedNone => None,
+        m if m.is_chimera() => None,
+        _ => Some(f1b_iteration_time(&plan.stage_times(), plan.n_microbatches)),
+    }
+}
+
 /// Static bytes hosted for stage `s` of a `method` plan over `ranges`.
 /// For Chimera each device hosts two stages — stage `s` of the down
 /// pipeline and stage `p − 1 − s` of the up pipeline. Parameters and
 /// gradients are replicated, but the two replicas form a data-parallel
 /// pair, so ZeRO shards the optimizer states across them.
-///
-/// Shared between plan materialization and the verifier so the
-/// memory-accounting check is exact by construction.
-pub(crate) fn expected_static_bytes(
-    ctx: &Context,
-    method: Method,
-    ranges: &[LayerRange],
-    s: usize,
-) -> Bytes {
+fn static_bytes(ctx: &Context, method: Method, ranges: &[LayerRange], s: usize) -> Bytes {
     let range = ranges[s];
     if method.is_chimera() {
         let p = ranges.len();

@@ -13,16 +13,14 @@
 
 use crate::method::Method;
 use crate::plan::Plan;
-use crate::planner::{expected_static_bytes, Context, Planner};
+use crate::planner::{stage_plan, Context, Planner};
 use adapipe_check::{
     check_breakdown, check_capacity, check_memory_accounting, check_partition, check_stage_cost,
     check_strategy, check_task_graph, CheckCode, CheckReport, Diagnostic, Severity,
 };
 use adapipe_exec::{ExecError, ExecPool};
-use adapipe_memory::StageMemory;
 use adapipe_obs::keys;
 use adapipe_partition::{KnapsackCostProvider, StageCostProvider, StageTimes};
-use adapipe_recompute::strategy;
 
 /// Tuning for a verification pass.
 #[derive(Debug, Clone, Copy)]
@@ -31,8 +29,9 @@ pub struct VerifyOptions {
     /// Eq. (3) breakdown). The default leaves room for nothing beyond
     /// float noise.
     pub tolerance: f64,
-    /// Re-solve the recomputation knapsack per stage with the §5.3
-    /// isomorphism cache enabled *and* disabled and require identical
+    /// Re-solve the recomputation knapsack per stage through the §5.3
+    /// isomorphism cache *and* uncached via
+    /// [`KnapsackCostProvider::optimize_stage`] and require identical
     /// costs (adaptive methods only). Thorough but re-runs the search's
     /// leaf DP (over the planner's exec pool when one is attached);
     /// enabled for `adapipe verify`, skipped by the planner's debug
@@ -130,13 +129,15 @@ impl Planner {
                     &stage.cost,
                     opts.tolerance,
                 ));
-                let live = plan.method.live_microbatches(p, s, n) as u64;
-                let expected = StageMemory {
-                    static_bytes: expected_static_bytes(&ctx, plan.method, &ranges, s),
-                    buffer_bytes: strategy::buffer_bytes_of(&units, &stage.strategy),
-                    intermediate_bytes: live * stage.cost.saved_bytes_per_mb,
-                };
-                report.extend(check_memory_accounting(s, &expected, &stage.memory));
+                let expected = stage_plan(
+                    &ctx,
+                    plan.method,
+                    &ranges,
+                    s,
+                    stage.strategy.clone(),
+                    stage.cost,
+                );
+                report.extend(check_memory_accounting(s, &expected.memory, &stage.memory));
                 let severity = if plan.method.is_adaptive() {
                     Severity::Error
                 } else {
@@ -147,15 +148,7 @@ impl Planner {
         }
 
         if let Some(bd) = &plan.predicted {
-            let times: Vec<StageTimes> = plan
-                .stages
-                .iter()
-                .map(|s| StageTimes {
-                    f: s.cost.time_f,
-                    b: s.cost.time_b,
-                })
-                .collect();
-            report.extend(check_breakdown(&times, n, bd, opts.tolerance));
+            report.extend(check_breakdown(&plan.stage_times(), n, bd, opts.tolerance));
         }
 
         match schedule_preconditions(plan.method, p, n) {
@@ -173,9 +166,9 @@ impl Planner {
     }
 
     /// §5.3 soundness spot-check: for each stage window of the plan, the
-    /// cached `f/b[s,i,j]` leaf cost must equal the cost recomputed with
-    /// the isomorphism cache disabled, and a repeated cached query must
-    /// return the identical value.
+    /// cached `f/b[s,i,j]` leaf cost must equal the cost recomputed
+    /// uncached by [`KnapsackCostProvider::optimize_stage`], and a
+    /// repeated cached query must return the identical value.
     ///
     /// The 2p leaf solves are independent tasks — task `2s` asks the
     /// cached provider twice, task `2s + 1` re-solves uncached — so they
@@ -193,8 +186,6 @@ impl Planner {
             .span_cat(keys::SPAN_VERIFY_ISO_SPOT_CHECK, "planner");
         let cached =
             KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity());
-        let raw = KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
-            .with_isomorphism_cache(false);
         let tasks: Vec<(usize, bool)> = (0..ranges.len())
             .flat_map(|s| [(s, true), (s, false)])
             .collect();
@@ -206,7 +197,10 @@ impl Planner {
                 let first = cached.stage_times(s, r);
                 (first, cached.stage_times(s, r))
             } else {
-                let fresh = raw.stage_times(s, r);
+                let fresh = cached
+                    .optimize_stage(s, r)
+                    .ok()
+                    .map(|opt| StageTimes::from(&opt.cost));
                 (fresh, fresh)
             }
         }) {

@@ -86,6 +86,34 @@ fn legacy_v1_fixture_converts_with_a_warning_and_reverifies() {
     );
 }
 
+/// Re-planning the golden configuration reproduces the checked-in
+/// artifacts byte for byte: gpt2 on cluster a with one node at
+/// `(t, p, d) = (2, 4, 1)`, sequence 1024, global batch 32 — what
+/// `adapipe plan --model gpt2 --cluster a --nodes 1 --tensor 2
+/// --pipeline 4 --seq 1024 --global-batch 32 --method adapipe|even`
+/// writes.
+#[test]
+fn golden_plans_regenerate_byte_for_byte() -> Result<(), adapipe::PlanError> {
+    let planner = adapipe::Planner::new(
+        adapipe_model::presets::gpt2_small(),
+        adapipe_hw::presets::cluster_a_with_nodes(1),
+    );
+    let parallel = adapipe_model::ParallelConfig::new(2, 4, 1)?;
+    let train = adapipe_model::TrainConfig::new(1, 1024, 32)?;
+    for (name, method) in [
+        ("gpt2_adapipe", adapipe::Method::AdaPipe),
+        ("gpt2_even", adapipe::Method::EvenPartitioning),
+    ] {
+        let plan = planner.plan(method, parallel, train)?;
+        assert_eq!(
+            plan_io::to_text(&plan),
+            read(&format!("tests/golden/{name}.plan")),
+            "{name}: re-planned artifact differs from the golden"
+        );
+    }
+    Ok(())
+}
+
 /// A plan declaring a foreign time unit is rejected outright — with
 /// the stable `unit-mismatch` code — instead of being silently
 /// reinterpreted (a ms-vs-µs slip rescales every Eq. (1)–(3) term by
