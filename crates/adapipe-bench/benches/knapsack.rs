@@ -1,9 +1,11 @@
 //! Scaling of the §4.3 recomputation knapsack, including the §5.3 GCD
 //! rescaling ablation: the same stage optimized with and without
-//! dividing the memory axis by the GCD of the unit sizes.
+//! dividing the memory axis by the GCD of the unit sizes, plus the
+//! largest leaf DP of the paper-scale grid.
 
 use adapipe_hw::presets as hw;
-use adapipe_model::{presets, LayerRange, ParallelConfig, TrainConfig};
+use adapipe_memory::{MemoryModel, OptimizerSpec};
+use adapipe_model::{presets, LayerRange, LayerSeq, ParallelConfig, TrainConfig};
 use adapipe_obs::Recorder;
 use adapipe_profiler::Profiler;
 use adapipe_recompute::{optimize, KnapsackConfig};
@@ -52,7 +54,43 @@ fn bench_knapsack(c: &mut Criterion) {
             });
         });
     }
+    bench_paper_leaf(&mut group);
     group.finish();
+}
+
+/// The largest leaf DP of the paper-scale grid: Llama 2 70B at
+/// (t, p, d) = (4, 8, 1), seq 4096, global batch 32, search headroom
+/// 0.875, half-layers 1..=37 at stage 6's budget — ~167 free units on a
+/// ~16.6k-cell memory axis after the §5.3 GCD rescaling.
+fn bench_paper_leaf(group: &mut criterion::BenchmarkGroup<'_>) {
+    let model = presets::llama2_70b();
+    let parallel = ParallelConfig::new(4, 8, 1).unwrap();
+    let train = TrainConfig::new(1, 4096, 32).unwrap();
+    let table = Profiler::new(hw::cluster_a()).profile(&model, &parallel, &train);
+    let seq = LayerSeq::for_model(&model);
+    let mem = MemoryModel::new(model, parallel, OptimizerSpec::adam_fp32());
+    let capacity = Bytes::new((hw::a100_80gb().usable_bytes().as_f64() * 0.875) as u64);
+    let range = LayerRange::new(1, 37);
+    let budget = mem
+        .activation_budget(&table, &seq, range, 6, capacity)
+        .unwrap();
+    let units = table.units_in(range);
+    group.sample_size(100);
+    group.bench_with_input(
+        BenchmarkId::new("paper_leaf", "llama2_s4096"),
+        &units,
+        |b, units| {
+            b.iter(|| {
+                optimize(
+                    black_box(units),
+                    black_box(budget),
+                    KnapsackConfig::default(),
+                    &Recorder::disabled(),
+                )
+                .unwrap()
+            });
+        },
+    );
 }
 
 criterion_group!(benches, bench_knapsack);

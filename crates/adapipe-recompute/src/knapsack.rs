@@ -1,5 +1,16 @@
 //! The §4.3 knapsack: choose saved units to maximize avoided
 //! recomputation under a memory budget.
+//!
+//! Every leaf `f/b[s,i,j]` of the planner ends here, in [`optimize`].
+//! Pinned units are charged first; the free units go through a 0/1
+//! knapsack DP on the §5.3 GCD-rescaled memory axis, whose rounding
+//! never over-commits the real budget (footprints round up, the budget
+//! rounds down). The DP kernel updates one flat `f64` row in place, in
+//! blocks that never read a cell the same item has written, so the
+//! compiler vectorizes its branch-free max. It compares with `f64` `>`,
+//! which gives the same answers as [`Cost`]'s total order on every value
+//! the row can hold, so the chosen set is the same bits as the scalar
+//! `Cost` loop the tests keep as a reference.
 
 use crate::error::StrategyError;
 use crate::strategy::{cost_of, RecomputeStrategy, StageCost};
@@ -142,6 +153,31 @@ fn optimize_untimed(
 /// 0/1 knapsack over the free units; returns the original indices of the
 /// units to save.
 ///
+/// Three steps, each its own function: [`scaled_axis`] rescales the
+/// memory axis (§5.3, with the rounding audit), [`take_rows`] runs the
+/// branch-free DP kernel (with the argument that it matches the `Cost`
+/// order bit for bit), and [`trace_back`] reads the chosen set off the
+/// `take` rows from the full capacity down.
+fn solve(
+    free: &[(usize, &UnitProfile)],
+    budget: Bytes,
+    config: KnapsackConfig,
+    rec: &Recorder,
+) -> Vec<usize> {
+    // Everything fits: skip the DP entirely.
+    let total: Bytes = free.iter().map(|(_, u)| u.mem_saved).sum();
+    if total.fits(budget) {
+        return free.iter().map(|(i, _)| *i).collect();
+    }
+    let (weights, capacity) = scaled_axis(free, budget, config, rec);
+    let values: Vec<Cost> = free.iter().map(|(_, u)| Cost::of(u.time_f)).collect();
+    let take = take_rows(&weights, &values, capacity);
+    trace_back(free, &weights, &take, capacity)
+}
+
+/// The §5.3 rescaled memory axis: each free unit's weight in cells and
+/// the capacity in cells.
+///
 /// # Rescaling audit (§5.3)
 ///
 /// The DP runs on an integer memory axis rescaled by `scale` (the GCD of
@@ -159,19 +195,12 @@ fn optimize_untimed(
 /// exactly; `optimize` debug-asserts it and the
 /// `rescaled_solution_feasible_in_unscaled_bytes` proptest exercises it
 /// with adversarial sizes and forced re-bucketing.
-fn solve(
+fn scaled_axis(
     free: &[(usize, &UnitProfile)],
     budget: Bytes,
     config: KnapsackConfig,
     rec: &Recorder,
-) -> Vec<usize> {
-    // Everything fits: skip the DP entirely.
-    let total: Bytes = free.iter().map(|(_, u)| u.mem_saved).sum();
-    if total.fits(budget) {
-        return free.iter().map(|(i, _)| *i).collect();
-    }
-
-    // §5.3 GCD rescaling of the memory axis.
+) -> (Vec<usize>, usize) {
     let g = if config.disable_gcd {
         1
     } else {
@@ -196,33 +225,120 @@ fn solve(
 
     // Weights round UP: never pretend a unit is smaller than it is.
     // (With `scale == g` both roundings are exact and the DP is optimal.)
-    let weights: Vec<usize> = free
+    let weights = free
         .iter()
         .map(|(_, u)| convert::u64_usize_saturating(u.mem_saved.get().div_ceil(scale)))
         .collect();
+    (weights, capacity)
+}
 
-    // value[m]: best saved forward time using capacity m. `Cost` gives
-    // the DP a NaN-free total order on its MicroSecs value axis.
-    // take[i] is a bitset over capacities where item i is taken.
-    let mut value = vec![Cost::ZERO; capacity + 1];
+/// The DP of Eqs. (1)–(2) over `capacity + 1` memory cells: row `i` is
+/// a bitset over capacities `m` at which item `i` is taken, i.e. where
+/// `value[m − w_i] + v_i` beats the best value of items `0..i` at `m`.
+///
+/// # Kernel
+///
+/// `value` is one flat `f64` row updated in place. An item of weight `w`
+/// updates cells `[w, capacity]` top-down in blocks `[lo, hi)` with
+/// `hi − lo ≤ w` and `lo ≥ w`. A block reads only `value[lo − w .. hi − w]`,
+/// which lies below it and which this item has not written yet, so
+/// `split_at_mut(lo)` hands the compiler two disjoint slices and the
+/// branch-free select vectorizes. Each block records `cand > old` per
+/// cell in one byte-per-cell flag buffer, which [`pack_flags`] folds
+/// into the item's `take` words afterwards. No second full-length `f64`
+/// row is allocated.
+///
+/// # Exactness
+///
+/// The reference order on the value axis is [`Cost`]'s `total_cmp`; the
+/// kernel compares with `f64` `>`. The two agree on every value the row
+/// can hold, so every `take` bit is the same:
+///
+/// * every row value is a sum that starts from `+0.0`, and in
+///   round-to-nearest such a sum is never `−0.0` (`x + (−0.0) = x` for
+///   `x ≠ −0.0`, and an exact cancellation yields `+0.0`);
+/// * [`Cost::of`] maps NaN to `+∞`, so a row value can only become NaN
+///   as `+∞ + (−∞)`, which needs a unit time of `−∞`.
+///
+/// Precondition: no row value is ever `−∞`. That holds when no unit
+/// time is `−∞` and negative times, which no profile contains, never sum
+/// past `−f64::MAX`: `Profiler` times are non-negative and
+/// `ProfileTable::from_measurements` rejects negative and non-finite
+/// ones. The `−∞` unit time is debug-asserted here.
+fn take_rows(weights: &[usize], values: &[Cost], capacity: usize) -> Vec<Vec<u64>> {
+    debug_assert!(
+        values
+            .iter()
+            .all(|v| v.time().as_micros() > f64::NEG_INFINITY),
+        "a unit time of -inf breaks the kernel's comparison argument"
+    );
+    let mut value = vec![0.0f64; capacity + 1];
+    let mut taken = vec![0u8; capacity + 1];
     let words = capacity / 64 + 1;
-    let mut take: Vec<Vec<u64>> = Vec::with_capacity(free.len());
-    for (item, (_, u)) in free.iter().enumerate() {
-        let w = weights[item];
+    let mut take: Vec<Vec<u64>> = Vec::with_capacity(weights.len());
+    for (&w, v) in weights.iter().zip(values) {
+        debug_assert!(w > 0, "free units have a positive footprint");
         let mut bits = vec![0u64; words];
         if w <= capacity {
-            for m in (w..=capacity).rev() {
-                let cand = value[m - w] + Cost::of(u.time_f);
-                if cand > value[m] {
-                    value[m] = cand;
-                    bits[m / 64] |= 1 << (m % 64);
+            let v = v.time().as_micros();
+            let mut hi = capacity + 1;
+            while hi > w {
+                let lo = (hi - w).max(w);
+                let (below, block) = value.split_at_mut(lo);
+                let src = &below[lo - w..hi - w];
+                for ((old, &base), flag) in
+                    block[..hi - lo].iter_mut().zip(src).zip(&mut taken[lo..hi])
+                {
+                    let cand = base + v;
+                    let better = cand > *old;
+                    *flag = u8::from(better);
+                    *old = if better { cand } else { *old };
                 }
+                hi = lo;
+            }
+            // Cells below `w` are never taken: clear their stale flags in
+            // the first word this item touches, then pack.
+            let first = w / 64;
+            taken[first * 64..w].fill(0);
+            for (word, flags) in bits[first..].iter_mut().zip(taken[first * 64..].chunks(64)) {
+                *word = pack_flags(flags);
             }
         }
         take.push(bits);
     }
+    take
+}
 
-    // Trace back the chosen set.
+/// Packs up to 64 one-byte `0`/`1` flags into a word, flag `i` to bit `i`.
+///
+/// Eight flags at a time: multiplying their little-endian word by
+/// `Σ_j 2^(56 − 7j)` moves byte `j`'s low bit to bit `56 + j`. Every
+/// other partial product lands below bit 56 or above bit 63 at a
+/// distinct position, so nothing carries into the top byte, which then
+/// holds the eight flags in order.
+fn pack_flags(flags: &[u8]) -> u64 {
+    const SPREAD: u64 = 0x0102_0408_1020_4080;
+    let eights = flags.chunks_exact(8);
+    let tail = eights.remainder();
+    let head = eights.enumerate().fold(0, |acc, (k, bytes)| {
+        let mut le = [0u8; 8];
+        le.copy_from_slice(bytes);
+        acc | (u64::from_le_bytes(le).wrapping_mul(SPREAD) >> 56) << (8 * k)
+    });
+    let base = flags.len() - tail.len();
+    tail.iter()
+        .enumerate()
+        .fold(head, |acc, (i, &f)| acc | u64::from(f) << (base + i))
+}
+
+/// Traces the chosen set back from the full capacity; returns the
+/// original indices of the taken units.
+fn trace_back(
+    free: &[(usize, &UnitProfile)],
+    weights: &[usize],
+    take: &[Vec<u64>],
+    capacity: usize,
+) -> Vec<usize> {
     let mut chosen = Vec::new();
     let mut m = capacity;
     for item in (0..free.len()).rev() {
@@ -269,6 +385,195 @@ mod tests {
         let train = TrainConfig::new(1, 1024, 16)?;
         let table = Profiler::new(hw::cluster_a()).profile(&model, &parallel, &train);
         Ok(table.units_in(layers))
+    }
+
+    /// The scalar DP loop the kernel replaced, kept as the reference:
+    /// `Cost` values compared by `total_cmp`, one cell at a time.
+    fn reference_rows(weights: &[usize], values: &[Cost], capacity: usize) -> Vec<Vec<u64>> {
+        let mut value = vec![Cost::ZERO; capacity + 1];
+        let words = capacity / 64 + 1;
+        let mut take: Vec<Vec<u64>> = Vec::with_capacity(weights.len());
+        for (&w, &v) in weights.iter().zip(values) {
+            let mut bits = vec![0u64; words];
+            if w <= capacity {
+                for m in (w..=capacity).rev() {
+                    let cand = value[m - w] + v;
+                    if cand > value[m] {
+                        value[m] = cand;
+                        bits[m / 64] |= 1 << (m % 64);
+                    }
+                }
+            }
+            take.push(bits);
+        }
+        take
+    }
+
+    /// Unit times drawn from `(pick, x)`: the special values `0.0`,
+    /// `−0.0`, `+∞` and NaN, small integers that tie often, else `x`.
+    fn time_of((pick, x): (usize, f64)) -> MicroSecs {
+        MicroSecs::new(match pick {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::INFINITY,
+            3 => f64::NAN,
+            4..=6 => (pick - 3) as f64,
+            _ => x,
+        })
+    }
+
+    /// Free units with the given footprints and times.
+    fn free_units(sizes: &[u64], times: &[MicroSecs]) -> Vec<UnitProfile> {
+        use adapipe_model::{ComputationUnit, UnitKind};
+        sizes
+            .iter()
+            .zip(times)
+            .enumerate()
+            .map(|(i, (&s, &t))| UnitProfile {
+                unit: ComputationUnit {
+                    kind: UnitKind::FfnAct,
+                    layer: i,
+                },
+                time_f: t,
+                time_b: MicroSecs::new(1.0),
+                mem_saved: Bytes::new(s),
+            })
+            .collect()
+    }
+
+    /// Runs the kernel and the reference on the axis `solve` builds for
+    /// this problem (the everything-fits shortcut aside) and compares the
+    /// chosen index sets, then every `take` bit.
+    fn check_against_reference(
+        us: &[UnitProfile],
+        budget: Bytes,
+        config: KnapsackConfig,
+    ) -> Result<(), String> {
+        let free: Vec<(usize, &UnitProfile)> = us
+            .iter()
+            .enumerate()
+            .filter(|(_, u)| !u.is_pinned() && u.mem_saved > Bytes::ZERO)
+            .collect();
+        if free.is_empty() {
+            return Ok(());
+        }
+        let (weights, capacity) = scaled_axis(&free, budget, config, &Recorder::disabled());
+        let values: Vec<Cost> = free.iter().map(|(_, u)| Cost::of(u.time_f)).collect();
+        let kernel = take_rows(&weights, &values, capacity);
+        let reference = reference_rows(&weights, &values, capacity);
+        let chosen = trace_back(&free, &weights, &kernel, capacity);
+        let want = trace_back(&free, &weights, &reference, capacity);
+        if chosen != want {
+            return Err(format!("chose {chosen:?}, reference {want:?}"));
+        }
+        if kernel != reference {
+            return Err(format!("take rows differ at capacity {capacity}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn kernel_matches_reference_at_word_edges() {
+        // (capacity + 1) % 64 is 1 for capacities 0, 64 and 128, 0 for
+        // 63, 127 and 191, and 63 for 62 and 126.
+        for capacity in [0usize, 1, 62, 63, 64, 65, 126, 127, 128, 191] {
+            let weights = [1, capacity.max(1), capacity + 1, 7, 64, 3, 1, 2];
+            let values: Vec<Cost> = [3.0, 5.0, 9.0, 2.0, 2.0, 1.0, 1.0, 2.0]
+                .into_iter()
+                .map(|t| Cost::of(MicroSecs::new(t)))
+                .collect();
+            assert_eq!(
+                take_rows(&weights, &values, capacity),
+                reference_rows(&weights, &values, capacity),
+                "capacity {capacity}"
+            );
+        }
+    }
+
+    #[test]
+    fn kernel_matches_reference_on_special_times() {
+        let sizes = [6u64, 9, 3, 12, 6, 3, 15, 9];
+        let configs = [
+            KnapsackConfig::default(),
+            KnapsackConfig {
+                disable_gcd: true,
+                ..Default::default()
+            },
+            // Forces re-bucketing of the 63 B total.
+            KnapsackConfig {
+                max_capacity_cells: 4,
+                ..Default::default()
+            },
+        ];
+        for times in [
+            [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, -0.0],
+            [
+                1.0,
+                f64::INFINITY,
+                2.0,
+                f64::NAN,
+                1.0,
+                f64::INFINITY,
+                3.0,
+                2.0,
+            ],
+            [2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0, 2.0],
+            [f64::NAN, -0.0, f64::INFINITY, 0.0, 4.0, 4.0, 1.5, 0.5],
+        ] {
+            let times: Vec<MicroSecs> = times.into_iter().map(MicroSecs::new).collect();
+            let us = free_units(&sizes, &times);
+            for budget in [0u64, 3, 5, 20, 33, 62] {
+                for config in configs {
+                    assert_eq!(
+                        check_against_reference(&us, Bytes::new(budget), config),
+                        Ok(()),
+                        "times {times:?}, budget {budget}, {config:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// Any weights (1, `w == capacity` and `w > capacity` included),
+        /// capacities across word boundaries and special or tied times:
+        /// the kernel sets exactly the reference's `take` bits.
+        #[test]
+        fn kernel_rows_match_reference(
+            capacity in 0usize..200,
+            weights in proptest::collection::vec(1usize..203, 1..12),
+            picks in proptest::collection::vec((0usize..10, 0.0f64..100.0), 12),
+        ) {
+            let values: Vec<Cost> = picks.iter().map(|&p| Cost::of(time_of(p))).collect();
+            prop_assert_eq!(
+                take_rows(&weights, &values, capacity),
+                reference_rows(&weights, &values, capacity)
+            );
+        }
+
+        /// Through the §5.3 axis: the GCD path, `disable_gcd` and forced
+        /// re-bucketing all choose the reference's index set.
+        #[test]
+        fn kernel_chooses_reference_set(
+            sizes in proptest::collection::vec(1u64..2000, 1..16),
+            picks in proptest::collection::vec((0usize..10, 0.0f64..100.0), 16),
+            budget_scale in 0u64..100,
+            mode in 0usize..3,
+            cells in 4usize..64,
+        ) {
+            let sizes: Vec<u64> = sizes.iter().map(|s| s * 3).collect();
+            let times: Vec<MicroSecs> = picks.iter().map(|&p| time_of(p)).collect();
+            let us = free_units(&sizes, &times);
+            let all: Bytes = us.iter().map(|u| u.mem_saved).sum();
+            let config = match mode {
+                0 => KnapsackConfig::default(),
+                1 => KnapsackConfig { disable_gcd: true, ..Default::default() },
+                _ => KnapsackConfig { max_capacity_cells: cells, disable_gcd: false },
+            };
+            let verdict = check_against_reference(&us, all * budget_scale / 100, config);
+            prop_assert_eq!(verdict, Ok(()));
+        }
     }
 
     #[test]

@@ -185,7 +185,8 @@ impl Planner {
             .recorder()
             .span_cat(keys::SPAN_VERIFY_ISO_SPOT_CHECK, "planner");
         let cached =
-            KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity());
+            KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
+                .with_recorder(self.recorder().clone());
         let tasks: Vec<(usize, bool)> = (0..ranges.len())
             .flat_map(|s| [(s, true), (s, false)])
             .collect();
@@ -312,6 +313,29 @@ mod tests {
             let report = planner.verify(&plan);
             assert!(!report.has_errors(), "{m}: {report}");
         }
+        Ok(())
+    }
+
+    #[test]
+    fn spot_check_solves_are_recorded() -> Result<(), crate::PlanError> {
+        let (planner, parallel, train) = small();
+        let planner = planner.with_recorder(adapipe_obs::Recorder::new());
+        let plan = planner.plan(Method::AdaPipe, parallel, train)?;
+        let before = planner.recorder().snapshot().counters[keys::KNAPSACK_CALLS];
+        let report = planner.verify_with(&plan, VerifyOptions::default());
+        assert!(!report.has_errors(), "{report}");
+        let snap = planner.recorder().snapshot();
+        let calls = snap.counters[keys::KNAPSACK_CALLS];
+        assert!(
+            calls >= before + plan.stages.len() as u64,
+            "verify's {} uncached re-solves must reach the recorder",
+            plan.stages.len()
+        );
+        assert_eq!(
+            snap.histograms[keys::KNAPSACK_US].count,
+            calls,
+            "every knapsack call is timed"
+        );
         Ok(())
     }
 
