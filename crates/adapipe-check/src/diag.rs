@@ -58,8 +58,9 @@ pub enum CheckCode {
     DeviceOrderDeadlock,
     /// A task has a negative duration.
     TaskDuration,
-    /// Cached isomorphism-class cost differs from the recomputed leaf
-    /// cost (§5.3 soundness spot-check).
+    /// A stage window shares its §5.3 isomorphism class with a window
+    /// whose knapsack inputs differ, so the class's cached leaf cost
+    /// need not be the window's own.
     IsoCacheDivergence,
     /// Plan units metadata contradicts this build's conventions
     /// (time in microseconds, memory in bytes); accepting such a plan

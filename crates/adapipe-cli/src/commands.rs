@@ -226,13 +226,11 @@ fn bool_flag(args: &mut Args, flag: &'static str) -> Result<bool, ConfigError> {
 
 /// `adapipe verify`: statically check a saved plan against the paper's
 /// feasibility invariants (Eq. (1)-(3), partition cover, schedule DAG)
-/// without executing it. `--quick true` skips the iso-cache spot-check.
-/// `--optimality true` additionally certifies the plan against its
-/// analytic lower bound and cross-checks the planner's DPs against the
-/// brute-force oracles (see docs/verification.md).
+/// without executing it. `--optimality true` additionally certifies the
+/// plan against its analytic lower bound and cross-checks the planner's
+/// DPs against the brute-force oracles (see docs/verification.md).
 pub fn verify(mut args: Args) -> Result<String, ConfigError> {
     let (plan, warnings) = read_plan(&mut args)?;
-    let quick = bool_flag(&mut args, "quick")?;
     let optimality = bool_flag(&mut args, "optimality")?;
     let epsilon: Option<f64> = args.take_parsed("epsilon", "a fraction like 0.35")?;
     let oracle_seed: Option<u64> = args.take_parsed("oracle-seed", "an unsigned integer")?;
@@ -252,12 +250,7 @@ pub fn verify(mut args: Args) -> Result<String, ConfigError> {
     let sink = ObsSink::from_args(&mut args, false);
     let planner = build_planner(&mut args)?.with_recorder(sink.rec.clone());
     args.finish()?;
-    let opts = if quick {
-        adapipe::VerifyOptions::quick()
-    } else {
-        adapipe::VerifyOptions::default()
-    };
-    let mut report = planner.verify_with(&plan, opts);
+    let mut report = planner.verify(&plan);
     let mut extra = String::new();
     if optimality {
         let mut oopts = adapipe::OptimalityOptions::default();
@@ -814,8 +807,8 @@ USAGE:
   adapipe compare --tensor T --pipeline P [--data D] --seq S --global-batch G
                   [--metrics-out FILE] [--chrome-trace FILE] ...
   adapipe show    --plan FILE [--model M] [--cluster a|b] [--nodes N]
-  adapipe verify  --plan FILE [--quick true] [--optimality true] [--epsilon F]
-                  [--oracle-seed N] [--oracle-iters N] [--certificate-out FILE]
+  adapipe verify  --plan FILE [--optimality true] [--epsilon F] [--oracle-seed N]
+                  [--oracle-iters N] [--certificate-out FILE]
                   [--metrics-out FILE] [--model M] [--cluster a|b] [--nodes N]
   adapipe sim     --plan FILE [--model M] [--cluster a|b] [--nodes N]
   adapipe trace   --plan FILE [--out trace.json] [--model M] [--cluster a|b]

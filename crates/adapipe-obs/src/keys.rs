@@ -233,9 +233,6 @@ pub const SPAN_SERVE_PARSE: &str = "serve.parse";
 pub const SPAN_SERVE_VERIFY: &str = "serve.verify";
 /// Plan-cache insertion of a cold plan (serve-request trace span).
 pub const SPAN_SERVE_CACHE_INSERT: &str = "serve.cache_insert";
-/// The §5.3 iso-cache spot-check inside a full verify: the plan's
-/// stage leaves re-solved with the cache on and off.
-pub const SPAN_VERIFY_ISO_SPOT_CHECK: &str = "verify.iso_spot_check";
 
 // ---- flight-recorder event kinds -----------------------------------
 // The `kind` vocabulary of `adapipe-flight/v1` dumps (see

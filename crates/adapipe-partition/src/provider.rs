@@ -16,7 +16,7 @@ use adapipe_exec::{CacheStats, ExecError, ExecPool};
 use adapipe_memory::MemoryModel;
 use adapipe_model::{LayerKind, LayerRange, LayerSeq};
 use adapipe_obs::{keys, Recorder};
-use adapipe_profiler::ProfileTable;
+use adapipe_profiler::{ProfileTable, UnitProfile};
 use adapipe_recompute::{
     optimize, optimize_exhaustive, KnapsackConfig, OptimizedStage, StrategyError,
 };
@@ -54,6 +54,31 @@ const INFEASIBLE: u64 = u64::MAX - 1;
 struct Slot {
     f: AtomicU64,
     b: AtomicU64,
+}
+
+/// The §5.3 class of `range` within one stage, numbered `0 .. 4L − 3`:
+/// windows that stop before the last layer are keyed by first-layer
+/// kind and length, windows that reach it by length alone. `None` for a
+/// window past the sequence or one starting at the decoding head yet
+/// stopping short of it. The one statement of the class rule: the
+/// cache's slots and [`KnapsackCostProvider::isomorphism_violation`]
+/// both key on it.
+fn iso_class(seq: &LayerSeq, range: LayerRange) -> Option<usize> {
+    let l = seq.len();
+    if range.last >= l {
+        return None;
+    }
+    let len = range.len();
+    if range.last == l - 1 {
+        return Some(3 * (l - 1) + len - 1);
+    }
+    let kind = match seq.layer(range.first).kind {
+        LayerKind::Embedding => 0,
+        LayerKind::Attention => 1,
+        LayerKind::FeedForward => 2,
+        LayerKind::DecodingHead => return None,
+    };
+    Some(kind * (l - 1) + len - 1)
 }
 
 /// The §5.3 isomorphism cache as a dense, lock-free table. Within a
@@ -115,23 +140,9 @@ impl ClassTable {
 
     /// The slot of `(stage, range)`'s isomorphism class, if it has one.
     fn index(&self, seq: &LayerSeq, stage: usize, range: LayerRange) -> Option<usize> {
-        let l = self.layers;
-        if range.last >= l {
-            return None;
-        }
-        let len = range.len();
-        let class = if range.last == l - 1 {
-            3 * (l - 1) + len - 1
-        } else {
-            let kind = match seq.layer(range.first).kind {
-                LayerKind::Embedding => 0,
-                LayerKind::Attention => 1,
-                LayerKind::FeedForward => 2,
-                LayerKind::DecodingHead => return None,
-            };
-            kind * (l - 1) + len - 1
-        };
-        let slot = stage.checked_mul(Self::stride(l))?.checked_add(class)?;
+        let slot = stage
+            .checked_mul(Self::stride(self.layers))?
+            .checked_add(iso_class(seq, range)?)?;
         (slot < self.len()).then_some(slot)
     }
 
@@ -266,8 +277,7 @@ impl<'a> KnapsackCostProvider<'a> {
         range: LayerRange,
     ) -> Result<OptimizedStage, StrategyError> {
         let budget = self
-            .mem
-            .activation_budget(self.table, self.seq, range, stage, self.capacity)
+            .budget(stage, range)
             .ok_or(StrategyError::OutOfMemory {
                 required: Bytes::new(u64::MAX),
                 budget: Bytes::ZERO,
@@ -297,6 +307,35 @@ impl<'a> KnapsackCostProvider<'a> {
             sc.store(key, outcome);
         }
         result
+    }
+
+    /// Checks the §5.3 premise for `range` at `stage`: every window
+    /// sharing its class slot must feed the knapsack the same inputs —
+    /// per layer the unit kinds and bit-exact `time_f`, `time_b` and
+    /// `mem_saved` (layer indices aside, as in
+    /// [`subcache::layer_digest`]) — and get the same activation budget.
+    /// Returns the lowest-starting sibling that does not, whose leaf cost
+    /// the slot may hold in place of `range`'s; `None` when the class is
+    /// sound for `range` or `range` has no slot (so is never shared).
+    ///
+    /// Solves no knapsack: layers are deduplicated by content once, then
+    /// each sibling costs one slice comparison and one budget.
+    #[must_use]
+    pub fn isomorphism_violation(&self, stage: usize, range: LayerRange) -> Option<LayerRange> {
+        let slot = self.classes.index(self.seq, stage, range)?;
+        let shapes = layer_shapes(self.table);
+        let own = shapes.get(range.first..=range.last)?;
+        let budget = self.budget(stage, range);
+        let len = range.len();
+        (0..=self.seq.len() - len)
+            .map(|first| LayerRange::new(first, first + len - 1))
+            .filter(|&r| self.classes.index(self.seq, stage, r) == Some(slot))
+            .find(|&r| shapes.get(r.first..=r.last) != Some(own) || self.budget(stage, r) != budget)
+    }
+
+    fn budget(&self, stage: usize, range: LayerRange) -> Option<Bytes> {
+        self.mem
+            .activation_budget(self.table, self.seq, range, stage, self.capacity)
     }
 
     /// Evaluates, in parallel over `pool`, one representative leaf for
@@ -376,6 +415,35 @@ impl StageCostProvider for KnapsackCostProvider<'_> {
         }
         result
     }
+}
+
+/// Per layer of `table`, the first layer whose unit profiles are the
+/// same knapsack items: two windows feed the knapsack identical units
+/// exactly when their slices of this vector are equal.
+fn layer_shapes(table: &ProfileTable) -> Vec<usize> {
+    let mut distinct: Vec<usize> = Vec::new();
+    (0..table.num_layers())
+        .map(|l| {
+            let units = table.layer_units(l);
+            let same = |&d: &usize| same_items(table.layer_units(d), units);
+            distinct.iter().copied().find(same).unwrap_or_else(|| {
+                distinct.push(l);
+                l
+            })
+        })
+        .collect()
+}
+
+/// Whether two layers' units are the same knapsack items: equal kinds
+/// and bit-exact times and sizes, whatever their layer index.
+fn same_items(a: &[UnitProfile], b: &[UnitProfile]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.unit.kind == y.unit.kind
+                && x.time_f.as_micros().to_bits() == y.time_f.as_micros().to_bits()
+                && x.time_b.as_micros().to_bits() == y.time_b.as_micros().to_bits()
+                && x.mem_saved == y.mem_saved
+        })
 }
 
 /// The verification twin of [`KnapsackCostProvider`]: budgets each
@@ -507,6 +575,13 @@ mod tests {
                         .ok()
                         .map(|opt| StageTimes::from(&opt.cost));
                     assert_eq!(cached.stage_times(stage, r), expect, "stage {stage} {r}");
+                    // The analytic table is uniform per layer kind, so
+                    // the §5.3 premise holds for every class.
+                    assert_eq!(
+                        cached.isomorphism_violation(stage, r),
+                        None,
+                        "stage {stage} {r}"
+                    );
                     queries += 1;
                 }
             }
@@ -535,6 +610,48 @@ mod tests {
                 hits: queries - classes,
                 misses: classes + 2,
             }
+        );
+    }
+
+    #[test]
+    fn isomorphism_violation_names_a_sibling_holding_the_nudged_layer() {
+        let fx = fixture(
+            presets::gpt2_small(),
+            ParallelConfig::new(2, 4, 1).unwrap(),
+            1024,
+        );
+        // Layer 9 is an attention half deep inside the sequence.
+        let nudged = 9;
+        let per_layer = (0..fx.table.num_layers())
+            .map(|l| {
+                let mut units = fx.table.layer_units(l).to_vec();
+                if l == nudged {
+                    units[0].time_b += MicroSecs::new(1.0);
+                }
+                units
+            })
+            .collect();
+        let table = ProfileTable::from_measurements(per_layer, fx.table.boundary_bytes()).unwrap();
+        let p = KnapsackCostProvider::new(&fx.seq, &table, &fx.mem, Bytes::from_gib(80));
+        // Windows clear of layer 9 share their class with siblings that
+        // hold it, and the sibling named is one of those; a window
+        // holding it differs from every sibling.
+        let r = LayerRange::new(11, 14);
+        for (stage, window) in [(1, LayerRange::new(3, 6)), (2, r)] {
+            let sibling = p.isomorphism_violation(stage, window);
+            assert!(sibling.is_some_and(|w| w.contains(nudged)), "{sibling:?}");
+        }
+        let sibling = p.isomorphism_violation(0, LayerRange::new(9, 12));
+        assert!(sibling.is_some_and(|w| !w.contains(nudged)), "{sibling:?}");
+        // Unique classes (the embedding-led and head-reaching windows)
+        // have no sibling to differ from.
+        let l = fx.seq.len();
+        assert_eq!(p.isomorphism_violation(0, LayerRange::new(0, 12)), None);
+        assert_eq!(p.isomorphism_violation(3, LayerRange::new(5, l - 1)), None);
+        assert_eq!(
+            p.isomorphism_violation(4, r),
+            None,
+            "no slot past the pipeline"
         );
     }
 

@@ -43,17 +43,10 @@
 //! let _ = value_axis(Bytes::new(4096));
 //! ```
 //!
-//! ```compile_fail
-//! use adapipe_units::{LayerIdx, StageIdx};
-//! // Index spaces do not mix either: a layer offset is not a stage.
-//! fn stage(s: StageIdx) -> StageIdx { s }
-//! let _ = stage(LayerIdx::new(3));
-//! ```
-//!
-//! Fields are private on purpose. Escaping a newtype goes through a named
-//! accessor (`as_secs`, `get`, …) so `xtask lint`'s `index-confusion`
-//! rule can spot raw `.0` extraction, and `raw-quantity-in-api` keeps
-//! bare `f64`/`u64` quantities out of public signatures.
+//! Fields are private on purpose: escaping a newtype goes through a
+//! named accessor (`as_secs`, `get`, …), and `xtask lint`'s
+//! `raw-quantity-in-api` rule keeps bare `f64`/`u64` quantities out of
+//! public signatures.
 //!
 //! See `docs/units.md` for the mapping from these types to the paper's
 //! symbols.
@@ -673,73 +666,6 @@ impl fmt::Display for Cost {
 }
 
 // ---------------------------------------------------------------------------
-// Index newtypes
-// ---------------------------------------------------------------------------
-
-macro_rules! index_type {
-    ($(#[$doc:meta])* $name:ident) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-        #[repr(transparent)]
-        pub struct $name(usize);
-
-        impl $name {
-            /// Wraps a raw index. This and [`Self::get`] are the
-            /// *designated conversion helpers* — the only sanctioned way
-            /// in and out of this index space (`xtask lint`'s
-            /// `index-confusion` rule polices ad-hoc mixing).
-            #[must_use]
-            pub const fn new(i: usize) -> Self {
-                $name(i)
-            }
-
-            /// Unwraps to a raw `usize` for slice indexing.
-            #[must_use]
-            pub const fn get(self) -> usize {
-                self.0
-            }
-
-            /// The next index in the same space.
-            #[must_use]
-            pub const fn next(self) -> Self {
-                $name(self.0 + 1)
-            }
-        }
-
-        impl fmt::Display for $name {
-            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "{}", self.0)
-            }
-        }
-
-        impl From<usize> for $name {
-            fn from(i: usize) -> Self {
-                $name(i)
-            }
-        }
-    };
-}
-
-index_type! {
-    /// Position of a computation layer in the model's layer sequence
-    /// (`0 ..= L`, the `i`/`j` of Algorithm 1's `f[s,i,j]`).
-    LayerIdx
-}
-
-index_type! {
-    /// Position of a pipeline stage (`0 .. p`, the `s` of the paper's
-    /// per-stage recurrences). For interleaved schedules this is the
-    /// *virtual* stage; the hosting device is `stage.get() % p`.
-    StageIdx
-}
-
-index_type! {
-    /// Position of a micro-batch within one training iteration
-    /// (`0 .. n`).
-    MicrobatchIdx
-}
-
-// ---------------------------------------------------------------------------
 // Designated numeric conversions
 // ---------------------------------------------------------------------------
 
@@ -922,15 +848,6 @@ mod tests {
         assert!(MicroSecs::new(f64::INFINITY).is_invalid_cost());
         assert!(!MicroSecs::new(0.0).is_invalid_cost());
         assert!(!MicroSecs::new(3.5).is_invalid_cost());
-    }
-
-    #[test]
-    fn index_types_are_distinct_and_displayable() {
-        let l = LayerIdx::new(7);
-        assert_eq!(l.get(), 7);
-        assert_eq!(l.next(), LayerIdx::new(8));
-        assert_eq!(StageIdx::from(3).to_string(), "3");
-        assert_eq!(MicrobatchIdx::new(0).get(), 0);
     }
 
     #[test]

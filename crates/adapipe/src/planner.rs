@@ -151,10 +151,6 @@ impl Planner {
         Bytes::new((self.capacity().as_f64() * self.search_headroom) as u64)
     }
 
-    pub(crate) fn exec_pool(&self) -> Option<&ExecPool> {
-        self.exec.as_deref()
-    }
-
     pub(crate) fn context(&self, parallel: ParallelConfig, train: TrainConfig) -> Context {
         let _span = self.rec.span_cat(keys::SPAN_PLAN_PROFILE, "planner");
         let table = Profiler::new(self.cluster.clone()).profile(&self.model, &parallel, &train);
@@ -239,7 +235,7 @@ impl Planner {
         // bars rather than refusing to plan them).
         #[cfg(debug_assertions)]
         {
-            let report = self.verify_with(&plan, crate::verify::VerifyOptions::quick());
+            let report = self.verify(&plan);
             debug_assert!(
                 !report.has_errors(),
                 "planner emitted an invalid {method} plan:\n{report}"

@@ -18,9 +18,8 @@ use adapipe_check::{
     check_breakdown, check_capacity, check_memory_accounting, check_partition, check_stage_cost,
     check_strategy, check_task_graph, CheckCode, CheckReport, Diagnostic, Severity,
 };
-use adapipe_exec::{ExecError, ExecPool};
-use adapipe_obs::keys;
-use adapipe_partition::{KnapsackCostProvider, StageCostProvider, StageTimes};
+use adapipe_model::LayerRange;
+use adapipe_partition::KnapsackCostProvider;
 
 /// Tuning for a verification pass.
 #[derive(Debug, Clone, Copy)]
@@ -29,33 +28,12 @@ pub struct VerifyOptions {
     /// Eq. (3) breakdown). The default leaves room for nothing beyond
     /// float noise.
     pub tolerance: f64,
-    /// Re-solve the recomputation knapsack per stage through the §5.3
-    /// isomorphism cache *and* uncached via
-    /// [`KnapsackCostProvider::optimize_stage`] and require identical
-    /// costs (adaptive methods only). Thorough but re-runs the search's
-    /// leaf DP (over the planner's exec pool when one is attached);
-    /// enabled for `adapipe verify`, skipped by the planner's debug
-    /// hooks.
-    pub iso_cache_spot_check: bool,
 }
 
 impl Default for VerifyOptions {
     fn default() -> Self {
         VerifyOptions {
             tolerance: adapipe_check::DEFAULT_TOLERANCE,
-            iso_cache_spot_check: true,
-        }
-    }
-}
-
-impl VerifyOptions {
-    /// The cheap subset: everything except the iso-cache spot-check.
-    /// What the planner's `debug_assertions` hooks run on every plan.
-    #[must_use]
-    pub fn quick() -> Self {
-        VerifyOptions {
-            iso_cache_spot_check: false,
-            ..VerifyOptions::default()
         }
     }
 }
@@ -159,103 +137,35 @@ impl Planner {
             Err(msg) => report.push(Diagnostic::error(CheckCode::MicrobatchCount, None, msg)),
         }
 
-        if opts.iso_cache_spot_check && plan.method.is_adaptive() && ranges_in_bounds {
-            report.extend(self.iso_cache_spot_check(&ctx, &ranges, opts.tolerance));
+        if plan.method.is_adaptive() && ranges_in_bounds {
+            report.extend(self.iso_class_check(&ctx, &ranges));
         }
         report
     }
 
-    /// §5.3 soundness spot-check: for each stage window of the plan, the
-    /// cached `f/b[s,i,j]` leaf cost must equal the cost recomputed
-    /// uncached by [`KnapsackCostProvider::optimize_stage`], and a
-    /// repeated cached query must return the identical value.
-    ///
-    /// The 2p leaf solves are independent tasks — task `2s` asks the
-    /// cached provider twice, task `2s + 1` re-solves uncached — so they
-    /// run over the planner's exec pool when one is attached and are
-    /// read back in stage order: the report is the same bytes either
-    /// way. A panicked task becomes an error diagnostic.
-    fn iso_cache_spot_check(
-        &self,
-        ctx: &Context,
-        ranges: &[adapipe_model::LayerRange],
-        tol: f64,
-    ) -> Vec<Diagnostic> {
-        let _span = self
-            .recorder()
-            .span_cat(keys::SPAN_VERIFY_ISO_SPOT_CHECK, "planner");
-        let cached =
-            KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
-                .with_recorder(self.recorder().clone());
-        let tasks: Vec<(usize, bool)> = (0..ranges.len())
-            .flat_map(|s| [(s, true), (s, false)])
-            .collect();
-        let serial = ExecPool::new(1);
-        let pool = self.exec_pool().unwrap_or(&serial);
-        let answers = match pool.map(&tasks, |&(s, use_cache)| {
-            let r = ranges[s];
-            if use_cache {
-                let first = cached.stage_times(s, r);
-                (first, cached.stage_times(s, r))
-            } else {
-                let fresh = cached
-                    .optimize_stage(s, r)
-                    .ok()
-                    .map(|opt| StageTimes::from(&opt.cost));
-                (fresh, fresh)
-            }
-        }) {
-            Ok(answers) => answers,
-            Err(e) => {
-                let stage = match &e {
-                    ExecError::TaskPanicked { index, .. } | ExecError::LostTask { index } => {
-                        Some(index / 2)
-                    }
-                    _ => None,
-                };
-                return vec![Diagnostic::error(
-                    CheckCode::IsoCacheDivergence,
-                    stage,
-                    format!("leaf re-solve failed: {e}"),
-                )];
-            }
-        };
-        let mut out = Vec::new();
-        for (s, (pair, &r)) in answers.chunks_exact(2).zip(ranges).enumerate() {
-            let &[(first, again), (fresh, _)] = pair else {
-                continue;
-            };
-            let agree = match (first, fresh) {
-                (Some(a), Some(b)) => {
-                    adapipe_check::approx_eq(a.f.as_micros(), b.f.as_micros(), tol)
-                        && adapipe_check::approx_eq(a.b.as_micros(), b.b.as_micros(), tol)
-                }
-                (None, None) => true,
-                _ => false,
-            };
-            if !agree || first != again {
-                out.push(Diagnostic::error(
+    /// §5.3 premise check: the search gave each stage window the leaf
+    /// cost of its isomorphism class, which is its own cost only if every
+    /// window of that class feeds the knapsack the same inputs
+    /// ([`KnapsackCostProvider::isomorphism_violation`]). Solves no
+    /// knapsack.
+    fn iso_class_check(&self, ctx: &Context, ranges: &[LayerRange]) -> Vec<Diagnostic> {
+        let provider =
+            KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity());
+        ranges
+            .iter()
+            .enumerate()
+            .filter_map(|(s, &r)| {
+                let sibling = provider.isomorphism_violation(s, r)?;
+                Some(Diagnostic::error(
                     CheckCode::IsoCacheDivergence,
                     Some(s),
                     format!(
-                        "cached leaf cost {first:?} (repeat {again:?}) vs recomputed {fresh:?} \
-                         for window {r}"
+                        "window {r} shares its §5.3 class with {sibling}, whose knapsack \
+                         inputs differ"
                     ),
-                ));
-            }
-        }
-        let hits = cached.cache_stats().hits;
-        if hits < ranges.len() as u64 {
-            out.push(Diagnostic::error(
-                CheckCode::IsoCacheDivergence,
-                None,
-                format!(
-                    "isomorphism cache served {hits} hits for {} repeated queries",
-                    ranges.len()
-                ),
-            ));
-        }
-        out
+                ))
+            })
+            .collect()
     }
 }
 
@@ -317,34 +227,11 @@ mod tests {
     }
 
     #[test]
-    fn spot_check_solves_are_recorded() -> Result<(), crate::PlanError> {
-        let (planner, parallel, train) = small();
-        let planner = planner.with_recorder(adapipe_obs::Recorder::new());
-        let plan = planner.plan(Method::AdaPipe, parallel, train)?;
-        let before = planner.recorder().snapshot().counters[keys::KNAPSACK_CALLS];
-        let report = planner.verify_with(&plan, VerifyOptions::default());
-        assert!(!report.has_errors(), "{report}");
-        let snap = planner.recorder().snapshot();
-        let calls = snap.counters[keys::KNAPSACK_CALLS];
-        assert!(
-            calls >= before + plan.stages.len() as u64,
-            "verify's {} uncached re-solves must reach the recorder",
-            plan.stages.len()
-        );
-        assert_eq!(
-            snap.histograms[keys::KNAPSACK_US].count,
-            calls,
-            "every knapsack call is timed"
-        );
-        Ok(())
-    }
-
-    #[test]
     fn stage_count_mismatch_short_circuits() -> Result<(), crate::PlanError> {
         let (planner, parallel, train) = small();
         let mut plan = planner.plan(Method::DappleFull, parallel, train)?;
         plan.stages.pop();
-        let report = planner.verify_with(&plan, VerifyOptions::quick());
+        let report = planner.verify(&plan);
         assert!(report.has_code(CheckCode::StageCount), "{report}");
         Ok(())
     }

@@ -15,9 +15,6 @@
 //! | `raw-quantity-in-api` | a bare `f64`/`u64` time/byte/flops parameter in a |
 //! |                | public signature of a core cost crate — use an           |
 //! |                | `adapipe-units` newtype                                  |
-//! | `index-confusion` | raw `.0`/tuple-constructor access to the index        |
-//! |                | newtypes outside the designated `::new()`/`.get()`       |
-//! |                | conversion helpers                                       |
 //! | `swallowed-result` | `let _ = ...` discards in library code — the idiom   |
 //! |                | that silently drops a `Result` (and with it the error    |
 //! |                | path); handle the value or bind it to a named `_x`       |
@@ -85,7 +82,6 @@ pub fn run(root: &Path) -> Vec<Violation> {
             if kind == CrateKind::Library {
                 check_panic_freedom(&file, &mut violations);
                 check_float_eq(&file, &mut violations);
-                check_index_confusion(&file, &mut violations);
                 check_swallowed_result(&file, &mut violations);
                 if COST_CRATES.contains(&crate_name.as_str()) {
                     check_raw_quantities(&file, &mut violations);
@@ -122,7 +118,6 @@ const RULES: &[&str] = &[
     "float-eq",
     "unsafe-header",
     "raw-quantity-in-api",
-    "index-confusion",
     "swallowed-result",
     "bounded-channel",
     "stringly-metric",
@@ -610,56 +605,6 @@ pub fn check_raw_quantities(file: &SourceFile, out: &mut Vec<Violation>) {
     }
 }
 
-/// `index-confusion`: the `LayerIdx`/`StageIdx`/`MicrobatchIdx` spaces
-/// convert only through the designated helpers (`::new()`, `.get()`,
-/// `From<usize>`). Raw tuple construction (`LayerIdx(i)`) and raw field
-/// extraction (`some_idx.0`) bypass them and make it easy to do
-/// arithmetic that silently crosses index spaces.
-pub fn check_index_confusion(file: &SourceFile, out: &mut Vec<Violation>) {
-    const IDX_TYPES: &[&str] = &["LayerIdx", "StageIdx", "MicrobatchIdx"];
-    for (i, line) in file.lines.iter().enumerate() {
-        if file.test_lines[i] || file.is_waived("index-confusion", i) {
-            continue;
-        }
-        let chars: Vec<char> = line.chars().collect();
-        for t in IDX_TYPES {
-            for (pos, _) in line.match_indices(&format!("{t}(")) {
-                // A longer identifier (`MyLayerIdx(`) is not this type.
-                if !ident_before(&chars, char_index(line, pos)) {
-                    out.push(Violation {
-                        path: file.path.clone(),
-                        line: i + 1,
-                        rule: "index-confusion",
-                        message: format!(
-                            "raw `{t}(..)` construction — use `{t}::new(..)` (or `.get()` to \
-                             leave the index space)"
-                        ),
-                    });
-                }
-            }
-        }
-        for (pos, _) in line.match_indices(".0") {
-            // Exclude longer numeric tokens: `.05`, `1.0`, `.0f64`, `x.0.1`.
-            let after = line[pos + 2..].chars().next();
-            if after.is_some_and(|c| c.is_alphanumeric() || c == '_' || c == '.') {
-                continue;
-            }
-            let lhs = last_token(&line[..pos]);
-            if lhs.to_lowercase().ends_with("idx") {
-                out.push(Violation {
-                    path: file.path.clone(),
-                    line: i + 1,
-                    rule: "index-confusion",
-                    message: format!(
-                        "raw `.0` extraction from index `{lhs}` — use `.get()`",
-                        lhs = lhs.trim()
-                    ),
-                });
-            }
-        }
-    }
-}
-
 /// `swallowed-result`: a wildcard `let _ = ...;` discard in non-test
 /// library code. The pattern is how `Result`s get silently dropped —
 /// the compiler's `#[must_use]` on `Result` is satisfied, but the error
@@ -702,13 +647,6 @@ pub fn check_swallowed_result(file: &SourceFile, out: &mut Vec<Violation>) {
             }
         }
     }
-}
-
-/// Maps a byte offset in `line` to the index of that char in the
-/// line's char vector (the masked source is ASCII-dominated, but doc
-/// prose can hold multi-byte chars).
-fn char_index(line: &str, byte_pos: usize) -> usize {
-    line[..byte_pos].chars().count()
 }
 
 /// Splits a parameter list on top-level commas into `(name, type)`
@@ -957,41 +895,6 @@ mod tests {
         );
         let mut v = Vec::new();
         check_raw_quantities(&f, &mut v);
-        assert!(
-            v.is_empty(),
-            "{:?}",
-            v.iter().map(|v| v.to_string()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn index_confusion_flags_raw_construction_and_extraction() {
-        let f = file(
-            "fn a() { let x = LayerIdx(3); }\n\
-             fn b(layer_idx: LayerIdx) -> usize { layer_idx.0 + 1 }\n\
-             fn c() { let ok = StageIdx::new(2).get(); }\n\
-             fn d() { let f = 1.0; let tup = pair.0; }\n",
-        );
-        let mut v = Vec::new();
-        check_index_confusion(&f, &mut v);
-        assert_eq!(
-            v.len(),
-            2,
-            "{:?}",
-            v.iter().map(|v| v.to_string()).collect::<Vec<_>>()
-        );
-        assert!(v.iter().all(|v| v.rule == "index-confusion"));
-        assert_eq!((v[0].line, v[1].line), (1, 2));
-    }
-
-    #[test]
-    fn index_confusion_waiver_suppresses() {
-        let f = file(
-            "// lint: allow(index-confusion): serializing the raw index\n\
-             fn a(layer_idx: LayerIdx) -> usize { layer_idx.0 }\n",
-        );
-        let mut v = Vec::new();
-        check_index_confusion(&f, &mut v);
         assert!(
             v.is_empty(),
             "{:?}",

@@ -8,9 +8,9 @@
 
 use std::path::{Path, PathBuf};
 use xtask::lint::{
-    check_bounded_channel, check_float_eq, check_index_confusion, check_panic_freedom,
-    check_raw_quantities, check_stringly_metric, check_swallowed_result, check_unchecked_cast,
-    check_unpooled_thread, check_unsafe_header, check_waiver_reasons, Violation,
+    check_bounded_channel, check_float_eq, check_panic_freedom, check_raw_quantities,
+    check_stringly_metric, check_swallowed_result, check_unchecked_cast, check_unpooled_thread,
+    check_unsafe_header, check_waiver_reasons, Violation,
 };
 use xtask::source::SourceFile;
 
@@ -47,11 +47,6 @@ fn each_rule_fires_on_its_fixture_and_respects_waivers() {
             "raw-quantity-in-api",
             "raw_quantity_in_api.rs",
             check_raw_quantities,
-        ),
-        (
-            "index-confusion",
-            "index_confusion.rs",
-            check_index_confusion,
         ),
         (
             "swallowed-result",
@@ -105,21 +100,6 @@ fn raw_quantity_fixture_flags_both_parameters() {
         v.iter().map(ToString::to_string).collect::<Vec<_>>()
     );
     assert!(v.iter().all(|v| v.rule == "raw-quantity-in-api"));
-}
-
-/// The index-confusion fixture holds one raw construction and one raw
-/// `.0` extraction; both are reported on their own lines.
-#[test]
-fn index_confusion_fixture_flags_construction_and_extraction() {
-    let v = violations(check_index_confusion, "index_confusion.rs");
-    assert_eq!(
-        v.len(),
-        2,
-        "{:?}",
-        v.iter().map(ToString::to_string).collect::<Vec<_>>()
-    );
-    assert!(v.iter().any(|v| v.message.contains("LayerIdx(..)")));
-    assert!(v.iter().any(|v| v.message.contains(".get()")));
 }
 
 /// The unchecked-cast fixture holds five bare numeric casts across four

@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Ok(plan) => {
                     let eval = planner.evaluate(&plan);
                     if eval.fits {
-                        format!("{:.1}s", eval.iteration_time)
+                        format!("{:.1} s", eval.iteration_time.as_secs())
                     } else {
                         "OOM".into()
                     }

@@ -60,12 +60,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("plan from measured profiles (GPT-3, seq 16384, (8,8,1)):");
     for (s, (range, times)) in plan.ranges.iter().zip(&plan.stage_times).enumerate() {
         println!(
-            "  stage {s}: layers {range} — F {:.0} ms, B {:.0} ms",
-            times.f * 1e3,
-            times.b * 1e3
+            "  stage {s}: layers {range} — F {:.1} ms, B {:.1} ms",
+            times.f.as_millis(),
+            times.b.as_millis()
         );
     }
     println!("predicted iteration: {}", plan.breakdown);
+
+    // The §5.3 cache gives every window of a class one leaf cost, which
+    // is sound only while the class's windows are identical knapsack
+    // inputs. Per-layer jitter breaks that: a stage flagged here may
+    // carry a sibling window's times instead of its own.
+    println!("§5.3 class check on the measured table:");
+    for (s, (&range, times)) in plan.ranges.iter().zip(&plan.stage_times).enumerate() {
+        let Some(sibling) = provider.isomorphism_violation(s, range) else {
+            println!("  stage {s}: class sound");
+            continue;
+        };
+        let own = provider.optimize_stage(s, range)?.cost;
+        println!(
+            "  stage {s}: shares its class with {sibling}, which differs; \
+             DP B {:.2} ms vs own-window B {:.2} ms",
+            times.b.as_millis(),
+            own.time_b.as_millis()
+        );
+    }
 
     // Sanity: the measured-profile plan should be close to the
     // analytic-profile plan (the jitter is ~1 %).
@@ -74,8 +93,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         algorithm1::solve_traced(&reference, seq.len(), p, 32, &off).ok_or("no reference plan")?;
     let rel = (plan.iteration_time() - ref_plan.iteration_time()).abs() / ref_plan.iteration_time();
     println!(
-        "vs analytic-profile plan: {:.3}s ({:+.2}%)",
-        ref_plan.iteration_time(),
+        "vs analytic-profile plan: {:.3} s ({:+.2}%)",
+        ref_plan.iteration_time().as_secs(),
         100.0 * rel
     );
     assert!(rel < 0.05, "measured-profile plan drifted {rel}");

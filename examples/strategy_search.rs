@@ -25,10 +25,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let best = best_outcome(&outcomes).ok_or("no feasible strategy")?;
     println!(
-        "\nbest: {} at {:.3}s — smaller TP boosts math efficiency until memory \
+        "\nbest: {} at {:.3} s — smaller TP boosts math efficiency until memory \
          or bubbles push back (§7.3 of the paper).",
         best.parallel,
-        best.time().expect("best is feasible")
+        best.time().expect("best is feasible").as_secs()
     );
     Ok(())
 }

@@ -95,8 +95,10 @@ fn memory_budget_monotonicity_in_capacity() {
 
 #[test]
 fn noisy_profiles_still_produce_feasible_plans() {
-    // End to end: a planner fed jittered measurements must still emit
-    // plans that fit when executed under the jitter-free simulator.
+    // Algorithm 1 fed jittered profiles still finds a feasible 8-stage
+    // plan. The jitter breaks the §5.3 premise — no two layers are the
+    // same knapsack items any more — and the class check must say so
+    // for every interior stage, whose class has siblings.
     let model = presets::gpt3_175b();
     let parallel = ParallelConfig::new(8, 8, 1).unwrap();
     let train = TrainConfig::new(1, 8192, 64).unwrap();
@@ -117,6 +119,12 @@ fn noisy_profiles_still_produce_feasible_plans() {
             .expect("noisy profile still feasible");
         assert_eq!(plan.ranges.len(), 8);
         assert!(plan.iteration_time().is_finite());
+        for (s, &r) in plan.ranges.iter().enumerate().take(7).skip(1) {
+            assert!(
+                provider.isomorphism_violation(s, r).is_some(),
+                "seed {seed}: stage {s} {r} not flagged"
+            );
+        }
     }
 }
 

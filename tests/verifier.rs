@@ -12,13 +12,11 @@
 
 use adapipe::{CheckCode, Method, Plan, Planner, VerifyOptions};
 use adapipe_check::check_task_graph;
-use adapipe_exec::ExecPool;
 use adapipe_hw::presets as hw;
 use adapipe_model::{presets, LayerRange, ParallelConfig, TrainConfig};
 use adapipe_sim::{Discipline, OpKind, TaskGraph, TaskMeta};
 use adapipe_units::{Bytes, MicroSecs};
 use proptest::prelude::*;
-use std::sync::Arc;
 
 type TestResult = Result<(), Box<dyn std::error::Error>>;
 
@@ -36,7 +34,7 @@ fn valid_plan(method: Method) -> Result<(Planner, Plan), Box<dyn std::error::Err
 
 // ---------------------------------------------------------------------
 // Acceptance: every plan from every method verifies clean, including
-// the iso-cache spot check for the adaptive methods.
+// the §5.3 class check for the adaptive methods.
 
 #[test]
 fn every_method_produces_a_plan_that_verifies_clean() -> TestResult {
@@ -96,7 +94,7 @@ proptest! {
         let Ok(plan) = planner.plan(method, parallel, train) else {
             return Ok(());
         };
-        let report = planner.verify_with(&plan, VerifyOptions::quick());
+        let report = planner.verify_with(&plan, VerifyOptions::default());
         prop_assert!(!report.has_errors(), "{method} p={p}: {report}");
     }
 }
@@ -110,7 +108,7 @@ fn corruption_gapped_partition_is_rejected() -> TestResult {
     let (planner, mut plan) = valid_plan(Method::AdaPipe)?;
     let r = plan.stages[1].range;
     plan.stages[1].range = LayerRange::new(r.first + 1, r.last);
-    let report = planner.verify_with(&plan, VerifyOptions::quick());
+    let report = planner.verify_with(&plan, VerifyOptions::default());
     assert!(report.has_errors(), "gapped partition accepted:\n{report}");
     assert!(
         report.has_code(CheckCode::PartitionGap),
@@ -124,7 +122,7 @@ fn corruption_overlapping_partition_is_rejected() -> TestResult {
     let (planner, mut plan) = valid_plan(Method::AdaPipe)?;
     let r = plan.stages[0].range;
     plan.stages[0].range = LayerRange::new(r.first, r.last + 1);
-    let report = planner.verify_with(&plan, VerifyOptions::quick());
+    let report = planner.verify_with(&plan, VerifyOptions::default());
     assert!(report.has_code(CheckCode::PartitionGap), "{report}");
     Ok(())
 }
@@ -135,7 +133,7 @@ fn corruption_stale_cost_is_rejected() -> TestResult {
     // the iso-cache soundness argument (§5.3) exists to prevent.
     let (planner, mut plan) = valid_plan(Method::AdaPipe)?;
     plan.stages[2].cost.time_f = plan.stages[2].cost.time_f * 2.0;
-    let report = planner.verify_with(&plan, VerifyOptions::quick());
+    let report = planner.verify_with(&plan, VerifyOptions::default());
     assert!(report.has_errors(), "stale cost accepted:\n{report}");
     assert!(
         report.has_code(CheckCode::CostDrift),
@@ -150,7 +148,7 @@ fn corruption_memory_overflow_is_rejected() -> TestResult {
     // Claim far more live intermediates than the device holds. Both the
     // accounting identity and the Eq. (1) budget must fire.
     plan.stages[0].memory.intermediate_bytes = 10 * planner.capacity();
-    let report = planner.verify_with(&plan, VerifyOptions::quick());
+    let report = planner.verify_with(&plan, VerifyOptions::default());
     assert!(report.has_errors(), "overflow accepted:\n{report}");
     assert!(
         report.has_code(CheckCode::BudgetOverflow),
@@ -167,7 +165,7 @@ fn corruption_memory_overflow_is_rejected() -> TestResult {
 fn corruption_stage_count_is_rejected() -> TestResult {
     let (planner, mut plan) = valid_plan(Method::AdaPipe)?;
     plan.stages.pop();
-    let report = planner.verify_with(&plan, VerifyOptions::quick());
+    let report = planner.verify_with(&plan, VerifyOptions::default());
     assert!(report.has_code(CheckCode::StageCount), "{report}");
     Ok(())
 }
@@ -178,7 +176,7 @@ fn corruption_breakdown_drift_is_rejected() -> TestResult {
     if let Some(bd) = plan.predicted.as_mut() {
         bd.warmup = bd.warmup * 3.0;
     }
-    let report = planner.verify_with(&plan, VerifyOptions::quick());
+    let report = planner.verify_with(&plan, VerifyOptions::default());
     assert!(report.has_code(CheckCode::BreakdownDrift), "{report}");
     Ok(())
 }
@@ -224,56 +222,11 @@ fn corruption_cyclic_dependency_is_rejected() {
 fn corrupted_plans_name_the_offending_stage() -> TestResult {
     let (planner, mut plan) = valid_plan(Method::AdaPipe)?;
     plan.stages[2].cost.time_f = plan.stages[2].cost.time_f * 2.0;
-    let report = planner.verify_with(&plan, VerifyOptions::quick());
+    let report = planner.verify_with(&plan, VerifyOptions::default());
     let text = report.to_string();
     assert!(
         text.contains("stage 2"),
         "diagnostic does not name stage 2:\n{text}"
     );
-    Ok(())
-}
-
-#[test]
-fn pooled_verify_renders_exactly_like_serial_verify() -> TestResult {
-    // The iso-cache spot-check fans its leaf re-solves out over an
-    // attached exec pool; the merged report must be the same bytes the
-    // serial pass produces, for a clean plan and for every corruption
-    // class above.
-    let (serial, clean) = valid_plan(Method::AdaPipe)?;
-    let pooled = planner().with_exec_pool(Arc::new(ExecPool::new(4)));
-    type Corruption = (&'static str, fn(&mut Plan));
-    let corruptions: [Corruption; 7] = [
-        ("clean", |_| {}),
-        ("gapped partition", |p| {
-            let r = p.stages[1].range;
-            p.stages[1].range = LayerRange::new(r.first + 1, r.last);
-        }),
-        ("overlapping partition", |p| {
-            let r = p.stages[0].range;
-            p.stages[0].range = LayerRange::new(r.first, r.last + 1);
-        }),
-        ("stale cost", |p| {
-            p.stages[2].cost.time_f = p.stages[2].cost.time_f * 2.0;
-        }),
-        ("memory overflow", |p| {
-            p.stages[0].memory.intermediate_bytes = Bytes::from_gib(10_000);
-        }),
-        ("stage count", |p| {
-            p.stages.pop();
-        }),
-        ("breakdown drift", |p| {
-            if let Some(bd) = p.predicted.as_mut() {
-                bd.warmup = bd.warmup * 3.0;
-            }
-        }),
-    ];
-    for (name, corrupt) in corruptions {
-        let mut plan = clean.clone();
-        corrupt(&mut plan);
-        let want = serial.verify(&plan);
-        let got = pooled.verify(&plan);
-        assert_eq!(got.to_string(), want.to_string(), "{name}");
-        assert_eq!(got.has_errors(), name != "clean", "{name}:\n{got}");
-    }
     Ok(())
 }
