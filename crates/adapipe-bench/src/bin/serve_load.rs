@@ -4,16 +4,16 @@
 //! The paper's workflow (profile once, search in seconds, reuse across
 //! jobs) makes the planner a natural service; what the service adds is
 //! *result reuse*. This load test drives an in-process `adapipe-serve`
-//! daemon over real loopback HTTP and measures the two regimes the
-//! ISSUE pins: cold misses (a full §4+§5 search per request, warmed by
-//! the daemon-global subproblem cache after the first one — the miss
-//! requests differ only in global batch, so their knapsack leaves are
-//! shared) and cache hits on the golden GPT-2 config (digest lookup +
-//! byte-identical replay). Hits must return in under a millisecond at
-//! the median; the hit/miss throughput gap shrinks as the subcache
-//! speeds the misses themselves, so the gate on the ratio is loose and
-//! the real regression fence is `xtask bench-diff` on the absolute
-//! miss/hit rates in the emitted artifact.
+//! daemon over real loopback HTTP and measures two regimes: cold misses
+//! (a full search per request; they differ only in global batch, so the
+//! first fills the instance's §5.3 class table and the run asserts the
+//! whole flood solves exactly as many knapsacks as that first plan) and
+//! cache hits on the golden GPT-2 config (digest lookup + byte-identical
+//! replay). Hits must return in under a millisecond at the median; the
+//! hit/miss throughput gap shrinks as the shared table speeds the
+//! misses themselves, so the gate on the ratio is loose and the real
+//! regression fence is `xtask bench-diff` on the absolute miss/hit
+//! rates in the emitted artifact.
 
 use adapipe_bench::{emit_bench_json, print_table};
 use adapipe_obs::{keys, Recorder};
@@ -51,6 +51,8 @@ fn main() {
 
     // Cold regime: distinct digests, every request runs the full
     // search. Sequential, so the measured rate is per-worker.
+    let knapsack_calls = || rec.snapshot().counters.get(keys::KNAPSACK_CALLS).copied();
+    let mut first_plan_calls = None;
     let miss_start = Instant::now();
     for i in 0..MISSES {
         let mut req = golden();
@@ -58,6 +60,7 @@ fn main() {
         let resp = client::post_plan(&addr, &req.to_wire_text()).expect("daemon reachable");
         assert_eq!(resp.status, 200, "cold plan failed: {}", resp.body);
         assert_eq!(resp.header("x-adapipe-cache"), Some("miss"));
+        first_plan_calls = first_plan_calls.or_else(knapsack_calls);
     }
     let miss_wall = miss_start.elapsed().as_secs_f64();
     let miss_rps = MISSES as f64 / miss_wall;
@@ -68,6 +71,11 @@ fn main() {
     assert_eq!(cold.status, 200, "{}", cold.body);
     assert_eq!(cold.header("x-adapipe-cache"), Some("miss"));
     let cold_body = cold.body;
+    assert_eq!(
+        knapsack_calls(),
+        first_plan_calls,
+        "later plans of the instance must answer every leaf from its class table"
+    );
 
     // Hot regime: every thread hammers the one golden digest.
     let hit_start = Instant::now();
@@ -139,11 +147,11 @@ fn main() {
         "\nhit/miss throughput = {speedup:.1}x (hit p99 {p99:.0}us); every hit\n\
          byte-identical to the cold plan. Expected shape: p50 under 1 ms. The plan\n\
          cache turns a full Algorithm 1 search into a digest lookup, while the shared\n\
-         subproblem cache speeds the misses themselves (shared knapsack leaves across\n\
-         requests), narrowing the ratio."
+         class table speeds the misses themselves (no knapsack leaf after the first\n\
+         plan of the instance), narrowing the ratio."
     );
 
-    // Fold the engine counters (exec pool, global subcache) into the
+    // Fold the engine gauges (exec pool, shared class tables) into the
     // artifact before the snapshot below.
     server.publish_engine_gauges();
 
@@ -155,7 +163,7 @@ fn main() {
     );
     assert!(
         speedup >= 2.0,
-        "cache hits must still clearly beat subcache-assisted misses, got {speedup:.1}x"
+        "cache hits must still clearly beat table-assisted misses, got {speedup:.1}x"
     );
 
     rec.gauge(keys::BENCH_WALL_S, t0.elapsed().as_secs_f64());

@@ -82,7 +82,7 @@ impl ObsSink {
         if let Some(stats) = self.iso_cache_stats() {
             self.rec.gauge(keys::ISO_CACHE_HIT_RATE, stats.hit_rate());
         }
-        // lint: allow(swallowed-result): None only means the subproblem cache saw no traffic
+        // lint: allow(swallowed-result): None only means no plan was materialized
         let _sub = keys::publish_subcache_hit_rate(&self.rec);
         let snap = self.rec.snapshot();
         if let Some(path) = &self.metrics_out {

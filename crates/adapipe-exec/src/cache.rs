@@ -1,7 +1,7 @@
 //! A sharded, LRU-bounded cache from 32-byte content digests to shared
 //! values — the one LRU map in the workspace. It backs both the
-//! process-global subproblem cache (`adapipe-partition`, keyed by
-//! canonical knapsack-leaf digests) and the daemon's plan cache
+//! process-global cache of §5.3 class tables (`adapipe-partition`,
+//! keyed by planning-instance digests) and the daemon's plan cache
 //! (`adapipe-serve`, keyed by request digests).
 //!
 //! Shards are independently locked, so concurrent lookups of different
@@ -64,8 +64,17 @@ impl<V: ?Sized> ShardedCache<V> {
     /// A cache holding at most `capacity` entries (floored at 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
+        Self::with_shards(capacity, Self::SHARDS)
+    }
+
+    /// A cache holding at most `capacity` entries (floored at 1) over
+    /// at most `shards` shards. One shard makes the LRU order exact,
+    /// which a cache of a handful of large entries needs: spread over
+    /// one-entry shards, two live keys can evict each other.
+    #[must_use]
+    pub fn with_shards(capacity: usize, shards: usize) -> Self {
         let capacity = capacity.max(1);
-        let shard_count = Self::SHARDS.min(capacity);
+        let shard_count = shards.clamp(1, capacity);
         ShardedCache {
             shards: (0..shard_count)
                 .map(|_| Mutex::new(Shard::default()))
@@ -276,6 +285,13 @@ mod tests {
             cache.insert(key(i), i, 1);
         }
         assert!(cache.len() <= 2);
+        // One shard holds exactly the most recent `capacity` keys.
+        let cache = ShardedCache::with_shards(4, 1);
+        for i in 0..20 {
+            cache.insert(key(i), i, 1);
+        }
+        assert_eq!(cache.len(), 4);
+        assert!((16..20).all(|i| cache.get(&key(i)).is_some()));
     }
 
     /// A digest whose first eight bytes are zero, so every such key

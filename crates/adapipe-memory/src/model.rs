@@ -94,6 +94,12 @@ impl MemoryModel {
         &self.parallel
     }
 
+    /// The optimizer memory description.
+    #[must_use]
+    pub fn optimizer(&self) -> OptimizerSpec {
+        self.optimizer
+    }
+
     /// Static bytes for a stage holding the layers of `range`:
     /// `params·dtype/t + params·grad_bytes/t + params·(state+master)/(t·d)`.
     #[must_use]

@@ -122,20 +122,25 @@ pub const EXEC_POOL_TASKS: &str = "exec.pool.tasks";
 /// a batch (gauge, cumulative).
 pub const EXEC_POOL_STEALS: &str = "exec.pool.steals";
 
-/// Process-global subproblem-cache lookup hits (counter,
+/// Winning stages that plan materialization rebuilt from the saved
+/// flags of their §5.3 class slot instead of solving them (counter,
 /// `adapipe-partition`).
 pub const SUBCACHE_HITS: &str = "subcache.hits";
-/// Process-global subproblem-cache lookup misses (counter).
+/// Winning stages that plan materialization had to solve: no slot
+/// flags, or a slot filled by a window with other knapsack items
+/// (counter).
 pub const SUBCACHE_MISSES: &str = "subcache.misses";
-/// Subproblem-cache hit rate in `[0, 1]` (gauge, derived from the two
+/// Materialize rebuild rate in `[0, 1]` (gauge, derived from the two
 /// counters by [`publish_subcache_hit_rate`]).
 pub const SUBCACHE_HIT_RATE: &str = "subcache.hit_rate";
-/// Subproblem-cache entries evicted by the LRU bound (gauge,
-/// cumulative over the process lifetime).
+/// Class tables the process-wide cache evicted by its LRU bound
+/// (gauge, cumulative over the process lifetime).
 pub const SUBCACHE_EVICTIONS: &str = "subcache.evictions";
-/// Approximate bytes currently held by the subproblem cache (gauge).
+/// Bytes of the slot arrays of the class tables the process-wide cache
+/// holds (gauge; the saved flags of filled slots come on top).
 pub const SUBCACHE_BYTES: &str = "subcache.bytes";
-/// Entries currently held by the subproblem cache (gauge).
+/// Class tables the process-wide cache holds, one per planning instance
+/// (gauge).
 pub const SUBCACHE_ENTRIES: &str = "subcache.entries";
 
 /// Simulator events processed (counter, `adapipe-sim`).
@@ -291,8 +296,8 @@ pub fn publish_serve_cache_hit_rate(rec: &Recorder) -> Option<(u64, u64, f64)> {
     )
 }
 
-/// Publishes the global subproblem-cache hit rate
-/// ([`SUBCACHE_HIT_RATE`]) from its counters. Returns
+/// Publishes the materialize rebuild rate ([`SUBCACHE_HIT_RATE`]) from
+/// its counters. Returns
 /// `(hits, misses, rate)` when any lookup was recorded.
 pub fn publish_subcache_hit_rate(rec: &Recorder) -> Option<(u64, u64, f64)> {
     publish_hit_rate(rec, SUBCACHE_HITS, SUBCACHE_MISSES, SUBCACHE_HIT_RATE)

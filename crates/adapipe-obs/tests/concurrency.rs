@@ -85,7 +85,11 @@ fn snapshots_never_tear_a_histogram_summary() {
         let stop = Arc::clone(&stop);
         thread::spawn(move || {
             let mut checked = 0u64;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
+                // Read `stop` before the snapshot: the pass that sees it
+                // set still checks one snapshot taken after every write,
+                // so the checker cannot exit before seeing the histogram.
+                let done = stop.load(Ordering::Acquire);
                 let snap = rec.snapshot();
                 if let Some(h) = snap.histograms.get("lat") {
                     assert!(h.p50 <= h.p95, "p50 {} > p95 {}", h.p50, h.p95);
@@ -101,6 +105,9 @@ fn snapshots_never_tear_a_histogram_summary() {
                         h.count
                     );
                     checked += 1;
+                }
+                if done {
+                    break;
                 }
             }
             checked
@@ -125,7 +132,7 @@ fn snapshots_never_tear_a_histogram_summary() {
     for t in writers {
         t.join().expect("writer panicked");
     }
-    stop.store(true, Ordering::Relaxed);
+    stop.store(true, Ordering::Release);
     let checked = checker.join().expect("checker panicked");
     assert!(checked > 0, "checker never saw the histogram");
     let snap = rec.snapshot();

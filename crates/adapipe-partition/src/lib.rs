@@ -27,10 +27,10 @@
 //!   [`algorithm1::reachable_windows`] out over an
 //!   [`adapipe_exec::ExecPool`]; the DP then runs serially against a
 //!   fully warmed cache.
-//! * **Content-addressed subproblem cache** — [`subcache`] keys each
-//!   leaf by its layer-window *profile* (not absolute indices), so
-//!   isomorphic leaves are shared across solves, requests and models
-//!   via a process-global sharded cache.
+//! * **Shared class tables** — [`subcache`] keeps the filled class
+//!   table of a planning instance process-wide, keyed by one digest of
+//!   everything a leaf reads, so the daemon's plans of one instance
+//!   that differ only in global batch run no knapsack leaf.
 //!
 //! # Example
 //!
@@ -69,4 +69,3 @@ pub mod subcache;
 pub use adapipe_exec::CacheStats;
 pub use cost::{f1b_iteration_time, F1bBreakdown, StageTimes};
 pub use provider::{KnapsackCostProvider, OracleCostProvider, StageCostProvider};
-pub use subcache::SubproblemCache;

@@ -7,24 +7,25 @@
 //! fan out over an [`adapipe_exec::ExecPool`] (see
 //! [`KnapsackCostProvider::prefill`]) while Algorithm 1 itself stays
 //! serial — which is what keeps plans byte-identical at any thread
-//! count.
+//! count. The same property lets the daemon share one filled table
+//! across the requests of an instance ([`crate::subcache`]).
 
 use crate::cost::StageTimes;
-use crate::subcache::{self, SubproblemCache};
-use adapipe_exec::cache::Digest;
+use crate::subcache;
 use adapipe_exec::{CacheStats, ExecError, ExecPool};
 use adapipe_memory::MemoryModel;
 use adapipe_model::{LayerKind, LayerRange, LayerSeq};
 use adapipe_obs::{keys, Recorder};
 use adapipe_profiler::{ProfileTable, UnitProfile};
+use adapipe_recompute::strategy::cost_of;
 use adapipe_recompute::{
-    optimize, optimize_exhaustive, KnapsackConfig, OptimizedStage, StrategyError,
+    optimize, optimize_exhaustive, KnapsackConfig, OptimizedStage, RecomputeStrategy, StrategyError,
 };
 use adapipe_units::{convert, Bytes, MicroSecs};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Source of the `f[s,i,j]` / `b[s,i,j]` arrays consumed by Algorithm 1.
 ///
@@ -48,12 +49,47 @@ const INFEASIBLE: u64 = u64::MAX - 1;
 /// One isomorphism-class slot: the leaf's `f` and `b` as `f64` bits.
 /// `f` doubles as the state word ([`EMPTY`], [`INFEASIBLE`]) and is
 /// written last with release ordering, so a reader that sees it also
-/// sees `b`. Racing writers of one class store identical bits (leaves
-/// are pure), which makes the slot write-once in effect.
+/// sees `b` and the slot's [`Chosen`] flags. Racing writers of one
+/// class store identical bits (leaves are pure), which makes the slot
+/// write-once in effect.
 #[derive(Debug)]
 struct Slot {
     f: AtomicU64,
     b: AtomicU64,
+}
+
+/// What a feasible slot's leaf chose: the first layer of the window
+/// that filled the slot and its saved flags, packed 64 to a word (as
+/// `bool`s they raised the paper-scale daemon's peak RSS by 3–8 MB).
+/// Kept beside the slots, not in them, so Algorithm 1's `stage_times`
+/// path reads the dense `f`/`b` array alone.
+#[derive(Debug)]
+struct Chosen {
+    first: usize,
+    saved: Box<[u64]>,
+}
+
+impl Chosen {
+    fn new(first: usize, strategy: &RecomputeStrategy) -> Self {
+        let mut saved = vec![0u64; strategy.len().div_ceil(64)];
+        for (i, flag) in strategy.iter().enumerate() {
+            if let Some(word) = saved.get_mut(i / 64) {
+                *word |= u64::from(flag) << (i % 64);
+            }
+        }
+        let saved = saved.into_boxed_slice();
+        Chosen { first, saved }
+    }
+
+    /// The flags of the first `units` units.
+    fn flags(&self, units: usize) -> Vec<bool> {
+        let bit = |i: usize| {
+            self.saved
+                .get(i / 64)
+                .is_some_and(|w| w >> (i % 64) & 1 == 1)
+        };
+        (0..units).map(bit).collect()
+    }
 }
 
 /// The §5.3 class of `range` within one stage, numbered `0 .. 4L − 3`:
@@ -97,21 +133,24 @@ fn iso_class(seq: &LayerSeq, range: LayerRange) -> Option<usize> {
 /// sequence, or one starting at the decoding head yet stopping short of
 /// it — are answered uncached.
 ///
+/// Each feasible slot also keeps its leaf's [`Chosen`] flags, so
+/// materialize rebuilds a winning stage instead of solving it again.
+///
 /// The slots are allocated on first use, not with the provider:
 /// allocated at construction, the table raised the paper-scale
 /// daemon's peak RSS from ~17.7 to 19–22 MB (allocator fragmentation;
 /// `perfbench` `serve-paper-miss` on a 2-core host), and allocated on
 /// first use it leaves it at ~17.7 MB.
 #[derive(Debug)]
-struct ClassTable {
+pub(crate) struct ClassTable {
     layers: usize,
     stages: usize,
-    slots: OnceLock<Vec<Slot>>,
+    slots: OnceLock<(Vec<Slot>, Vec<OnceLock<Chosen>>)>,
 }
 
 impl ClassTable {
     /// A table for `stages` stages of a `layers`-layer sequence.
-    fn new(layers: usize, stages: usize) -> Self {
+    pub(crate) fn new(layers: usize, stages: usize) -> Self {
         ClassTable {
             layers,
             stages,
@@ -127,14 +166,21 @@ impl ClassTable {
         self.stages * Self::stride(self.layers)
     }
 
-    fn slots(&self) -> &[Slot] {
+    /// Bytes of the slot arrays (the flags of filled slots come on top).
+    pub(crate) fn bytes(&self) -> u64 {
+        let slot = std::mem::size_of::<Slot>() + std::mem::size_of::<OnceLock<Chosen>>();
+        convert::usize_u64(self.len() * slot)
+    }
+
+    fn slots(&self) -> &(Vec<Slot>, Vec<OnceLock<Chosen>>) {
         self.slots.get_or_init(|| {
-            (0..self.len())
+            let times = (0..self.len())
                 .map(|_| Slot {
                     f: AtomicU64::new(EMPTY),
                     b: AtomicU64::new(0),
                 })
-                .collect()
+                .collect();
+            (times, (0..self.len()).map(|_| OnceLock::new()).collect())
         })
     }
 
@@ -149,7 +195,7 @@ impl ClassTable {
     /// The cached answer in `slot`: `None` while empty, `Some(None)`
     /// for an infeasible leaf.
     fn get(&self, slot: usize) -> Option<Option<StageTimes>> {
-        let slot = &self.slots()[slot];
+        let slot = &self.slots().0[slot];
         match slot.f.load(Ordering::Acquire) {
             EMPTY => None,
             INFEASIBLE => Some(None),
@@ -160,28 +206,34 @@ impl ClassTable {
         }
     }
 
-    fn set(&self, slot: usize, times: Option<StageTimes>) {
-        let slot = &self.slots()[slot];
-        let f = match times {
+    /// Stores the leaf solved for the window starting at layer `first`.
+    fn set(&self, slot: usize, first: usize, leaf: Option<&OptimizedStage>) {
+        let (times, chosen) = self.slots();
+        let slot_times = &times[slot];
+        let f = match leaf {
             None => INFEASIBLE,
-            Some(t) => {
+            Some(opt) => {
+                let t = StageTimes::from(&opt.cost);
                 let f = t.f.as_micros().to_bits();
                 if f == EMPTY || f == INFEASIBLE {
                     return;
                 }
-                slot.b.store(t.b.as_micros().to_bits(), Ordering::Relaxed);
+                // A racing writer of the class stored the same flags.
+                let _same = chosen[slot].set(Chosen::new(first, &opt.strategy));
+                slot_times
+                    .b
+                    .store(t.b.as_micros().to_bits(), Ordering::Relaxed);
                 f
             }
         };
-        slot.f.store(f, Ordering::Release);
+        slot_times.f.store(f, Ordering::Release);
     }
 }
 
 /// The production provider: budgets each `(stage, window)` with the
 /// memory model and optimizes it with the recomputation knapsack, caching
-/// by isomorphism class — and, when a [`SubproblemCache`] is attached,
-/// consulting the process-global content-addressed leaf cache so
-/// isomorphic windows of *other* solves and requests are reused too.
+/// by isomorphism class — in a private table, or in the instance's
+/// process-wide one ([`KnapsackCostProvider::with_shared_class_table`]).
 #[derive(Debug)]
 pub struct KnapsackCostProvider<'a> {
     seq: &'a LayerSeq,
@@ -189,13 +241,7 @@ pub struct KnapsackCostProvider<'a> {
     mem: &'a MemoryModel,
     capacity: Bytes,
     rec: Recorder,
-    subcache: Option<&'a SubproblemCache>,
-    /// Per-layer content digests, built once on first subcache lookup:
-    /// window keys then hash `O(len)` digest bytes instead of
-    /// re-serializing every unit profile, which would cost more than
-    /// the microsecond-scale knapsack solve the cache skips.
-    layer_digests: OnceLock<Vec<Digest>>,
-    classes: ClassTable,
+    classes: Arc<ClassTable>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -216,30 +262,28 @@ impl<'a> KnapsackCostProvider<'a> {
             mem,
             capacity,
             rec: Recorder::disabled(),
-            subcache: None,
-            layer_digests: OnceLock::new(),
-            classes: ClassTable::new(seq.len(), mem.parallel().pipeline()),
+            classes: Arc::new(ClassTable::new(seq.len(), mem.parallel().pipeline())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Attaches a content-addressed subproblem cache consulted (and
-    /// filled) by every leaf evaluation. Pass
-    /// [`subcache::global()`](crate::subcache::global) to share leaves
-    /// process-wide; results are byte-identical either way because a
-    /// cached leaf replays exactly what the knapsack would compute.
+    /// Answers from the class table this instance shares process-wide
+    /// ([`crate::subcache`]), filled by earlier providers of the same
+    /// instance, instead of a private one. Answers are byte-identical
+    /// either way: a slot holds what the knapsack returns for its class.
     #[must_use]
-    pub fn with_subproblem_cache(mut self, cache: &'a SubproblemCache) -> Self {
-        self.subcache = Some(cache);
+    pub fn with_shared_class_table(mut self) -> Self {
+        self.classes = subcache::table_for(self.seq, self.table, self.mem, self.capacity);
         self
     }
 
     /// Attaches an observability recorder. The provider reports
     /// `partition.iso_cache.{hits,misses}`, `partition.leaf_evals`,
-    /// `subcache.{hits,misses}` (when a subproblem cache is attached)
-    /// and per-leaf timing (`partition.leaf.us`), and forwards the
-    /// recorder into the recomputation knapsack it runs per leaf.
+    /// `subcache.{hits,misses}` (see
+    /// [`KnapsackCostProvider::materialize_stage`]) and per-leaf timing
+    /// (`partition.leaf.us`), and forwards the recorder into the
+    /// recomputation knapsack it runs per leaf.
     #[must_use]
     pub fn with_recorder(mut self, rec: Recorder) -> Self {
         self.rec = rec;
@@ -262,10 +306,9 @@ impl<'a> KnapsackCostProvider<'a> {
     }
 
     /// Runs the full knapsack for one concrete stage assignment,
-    /// returning the chosen strategy (used to materialize the final plan
-    /// after Algorithm 1 picks the boundaries). Never consults or fills
-    /// the §5.3 class table, so it is also the uncached leaf every
-    /// cached answer is checked against.
+    /// returning the chosen strategy. Never consults or fills the §5.3
+    /// class table, so it is the uncached leaf every cached answer is
+    /// checked against.
     ///
     /// # Errors
     ///
@@ -283,37 +326,64 @@ impl<'a> KnapsackCostProvider<'a> {
                 budget: Bytes::ZERO,
             })?;
         let units = self.table.units_in(range);
-        let keyed = self.subcache.and_then(|sc| {
-            let digests = self
-                .layer_digests
-                .get_or_init(|| {
-                    (0..self.table.num_layers())
-                        .map(|l| subcache::layer_digest(self.table.layer_units(l)))
-                        .collect()
-                })
-                .get(range.first..=range.last)?;
-            Some((sc, subcache::leaf_key(digests, budget)))
-        });
-        let Some((sc, key)) = keyed else {
-            return optimize(&units, budget, KnapsackConfig::default(), &self.rec);
-        };
-        if let Some(outcome) = sc.lookup(&key) {
+        optimize(&units, budget, KnapsackConfig::default(), &self.rec)
+    }
+
+    /// The stage Algorithm 1 costed for `(stage, range)`, to materialize
+    /// the final plan: rebuilt from the saved flags of `range`'s class
+    /// slot against `range`'s own units when the window that filled the
+    /// slot has the same knapsack items and budget (a `subcache.hits`),
+    /// else solved by [`KnapsackCostProvider::optimize_stage`] (a
+    /// `subcache.misses`). Equal to `optimize_stage` either way: the
+    /// knapsack is a function of the items and the budget, and costs
+    /// are recomputed from the units.
+    ///
+    /// # Errors
+    ///
+    /// As [`KnapsackCostProvider::optimize_stage`].
+    pub fn materialize_stage(
+        &self,
+        stage: usize,
+        range: LayerRange,
+    ) -> Result<OptimizedStage, StrategyError> {
+        let slot = self.classes.index(self.seq, stage, range);
+        if let Some(opt) = slot.and_then(|slot| self.rebuild(slot, stage, range)) {
             self.rec.incr(keys::SUBCACHE_HITS);
-            return subcache::rebuild(&units, budget, &outcome);
+            return Ok(opt);
         }
         self.rec.incr(keys::SUBCACHE_MISSES);
-        let result = optimize(&units, budget, KnapsackConfig::default(), &self.rec);
-        if let Some(outcome) = subcache::outcome_of(&result) {
-            sc.store(key, outcome);
+        self.optimize_stage(stage, range)
+    }
+
+    /// `range`'s stage rebuilt from `slot`'s flags, if the window that
+    /// filled the slot feeds the knapsack the same items and budget.
+    fn rebuild(&self, slot: usize, stage: usize, range: LayerRange) -> Option<OptimizedStage> {
+        let chosen = self.classes.slots().1[slot].get()?;
+        let filler = LayerRange::new(chosen.first, chosen.first + range.len() - 1);
+        let budget = self.budget(stage, range)?;
+        let same =
+            filler == range
+                || (filler.as_range().zip(range.as_range()).all(|(a, b)| {
+                    same_items(self.table.layer_units(a), self.table.layer_units(b))
+                }) && self.budget(stage, filler) == Some(budget));
+        if !same {
+            return None;
         }
-        result
+        let units = self.table.units_in(range);
+        let strategy = RecomputeStrategy::from_flags(&units, chosen.flags(units.len()));
+        let cost = cost_of(&units, &strategy);
+        Some(OptimizedStage {
+            slack_bytes: budget.saturating_sub(cost.saved_bytes_per_mb),
+            strategy,
+            cost,
+        })
     }
 
     /// Checks the §5.3 premise for `range` at `stage`: every window
     /// sharing its class slot must feed the knapsack the same inputs —
     /// per layer the unit kinds and bit-exact `time_f`, `time_b` and
-    /// `mem_saved` (layer indices aside, as in
-    /// [`subcache::layer_digest`]) — and get the same activation budget.
+    /// `mem_saved` (layer indices aside) — and get the same activation
+    /// budget.
     /// Returns the lowest-starting sibling that does not, whose leaf cost
     /// the slot may hold in place of `range`'s; `None` when the class is
     /// sound for `range` or `range` has no slot (so is never shared).
@@ -378,7 +448,8 @@ impl<'a> KnapsackCostProvider<'a> {
             return Ok(0);
         }
         pool.map(&reps, |&(slot, stage, range)| {
-            self.classes.set(slot, self.compute(stage, range));
+            self.classes
+                .set(slot, range.first, self.compute(stage, range).as_ref());
         })?;
         self.misses
             .fetch_add(convert::usize_u64(reps.len()), Ordering::Relaxed);
@@ -387,7 +458,7 @@ impl<'a> KnapsackCostProvider<'a> {
         Ok(reps.len())
     }
 
-    fn compute(&self, stage: usize, range: LayerRange) -> Option<StageTimes> {
+    fn compute(&self, stage: usize, range: LayerRange) -> Option<OptimizedStage> {
         self.rec.incr(keys::PARTITION_LEAF_EVALS);
         let started = self.rec.is_enabled().then(std::time::Instant::now);
         let opt = self.optimize_stage(stage, range).ok();
@@ -395,7 +466,7 @@ impl<'a> KnapsackCostProvider<'a> {
             self.rec
                 .observe(keys::PARTITION_LEAF_US, t0.elapsed().as_secs_f64() * 1e6);
         }
-        Some(StageTimes::from(&opt?.cost))
+        opt
     }
 }
 
@@ -409,11 +480,11 @@ impl StageCostProvider for KnapsackCostProvider<'_> {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         self.rec.incr(keys::ISO_CACHE_MISSES);
-        let result = self.compute(stage, range);
+        let leaf = self.compute(stage, range);
         if let Some(slot) = slot {
-            self.classes.set(slot, result);
+            self.classes.set(slot, range.first, leaf.as_ref());
         }
-        result
+        leaf.map(|opt| StageTimes::from(&opt.cost))
     }
 }
 
@@ -561,20 +632,28 @@ mod tests {
             ParallelConfig::new(2, 4, 1).unwrap(),
             1024,
         );
-        let cached = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
+        let rec = Recorder::new();
+        let cached = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80))
+            .with_recorder(rec.clone());
         let l = fx.seq.len();
-        let mut queries = 0u64;
+        let (mut queries, mut feasible) = (0u64, 0u64);
         for stage in 0..4 {
             for first in 0..l {
                 for last in first..l {
                     let r = LayerRange::new(first, last);
                     // `optimize_stage` never touches the class table:
                     // it is the uncached leaf.
-                    let expect = cached
-                        .optimize_stage(stage, r)
-                        .ok()
-                        .map(|opt| StageTimes::from(&opt.cost));
+                    let solved = cached.optimize_stage(stage, r);
+                    let expect = solved.as_ref().ok().map(|opt| StageTimes::from(&opt.cost));
                     assert_eq!(cached.stage_times(stage, r), expect, "stage {stage} {r}");
+                    // The stage rebuilt from the slot's flags is the
+                    // solved one, byte for byte.
+                    assert_eq!(
+                        cached.materialize_stage(stage, r),
+                        solved,
+                        "stage {stage} {r}"
+                    );
+                    feasible += u64::from(solved.is_ok());
                     // The analytic table is uniform per layer kind, so
                     // the §5.3 premise holds for every class.
                     assert_eq!(
@@ -599,6 +678,12 @@ mod tests {
                 misses: classes,
             }
         );
+        // Every feasible stage was rebuilt from a slot, none re-solved.
+        let counters = rec.snapshot().counters;
+        assert!(feasible > 0);
+        assert_eq!(counters.get(keys::SUBCACHE_HITS), Some(&feasible));
+        let solved = counters.get(keys::SUBCACHE_MISSES).copied().unwrap_or(0);
+        assert_eq!(solved, queries - feasible);
         // A stage past the pipeline has no slot: it is answered (no
         // budget, so infeasible) and stays uncached.
         let r = LayerRange::new(3, 6);
@@ -632,7 +717,9 @@ mod tests {
             })
             .collect();
         let table = ProfileTable::from_measurements(per_layer, fx.table.boundary_bytes()).unwrap();
-        let p = KnapsackCostProvider::new(&fx.seq, &table, &fx.mem, Bytes::from_gib(80));
+        let rec = Recorder::new();
+        let p = KnapsackCostProvider::new(&fx.seq, &table, &fx.mem, Bytes::from_gib(80))
+            .with_recorder(rec.clone());
         // Windows clear of layer 9 share their class with siblings that
         // hold it, and the sibling named is one of those; a window
         // holding it differs from every sibling.
@@ -653,6 +740,18 @@ mod tests {
             None,
             "no slot past the pipeline"
         );
+        // The slot `[9..12]` fills holds layer 9's leaf, so its sibling
+        // `[3..6]` is solved at materialize, not rebuilt from it.
+        let (filler, sibling) = (LayerRange::new(9, 12), LayerRange::new(3, 6));
+        assert!(p.stage_times(1, filler).is_some());
+        assert_eq!(
+            p.materialize_stage(1, sibling),
+            p.optimize_stage(1, sibling)
+        );
+        assert_eq!(p.materialize_stage(1, filler), p.optimize_stage(1, filler));
+        let counters = rec.snapshot().counters;
+        assert_eq!(counters.get(keys::SUBCACHE_MISSES), Some(&1));
+        assert_eq!(counters.get(keys::SUBCACHE_HITS), Some(&1));
     }
 
     #[test]
@@ -697,6 +796,11 @@ mod tests {
         let p = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(4));
         let whole = LayerRange::new(0, fx.seq.len() - 1);
         assert!(p.stage_times(0, whole).is_none());
+        // An infeasible slot keeps no flags: materialize reports the
+        // solve's own error.
+        let err = p.materialize_stage(0, whole);
+        assert!(err.is_err());
+        assert_eq!(err, p.optimize_stage(0, whole));
     }
 
     #[test]
@@ -772,14 +876,16 @@ mod tests {
             ParallelConfig::new(2, 4, 1).unwrap(),
             1024,
         );
-        let shared = SubproblemCache::new(1024);
-        let plain = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
-        let warm = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80))
-            .with_subproblem_cache(&shared);
-        // A *second* provider on the same cache answers from shared
-        // leaves (the cross-request warm-start path).
-        let reuse = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80))
-            .with_subproblem_cache(&shared);
+        // A capacity no other test plans at, so the shared table starts
+        // empty.
+        let cap = Bytes::new(Bytes::from_gib(80).get() - 1);
+        let plain = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap);
+        let warm =
+            KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap).with_shared_class_table();
+        // A *second* provider of the instance answers from the table the
+        // first filled (the cross-request warm-start path).
+        let reuse =
+            KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap).with_shared_class_table();
         for stage in 0..4 {
             for first in [0usize, 2, 9] {
                 for last in [11usize, 19, 25] {
@@ -790,9 +896,13 @@ mod tests {
                 }
             }
         }
-        let stats = shared.stats();
-        assert!(stats.hits > 0, "second provider must hit shared leaves");
-        assert!(stats.misses > 0);
+        assert!(warm.cache_stats().misses > 0);
+        let stats = reuse.cache_stats();
+        assert_eq!(
+            stats.misses, 0,
+            "second provider must answer from the shared table"
+        );
+        assert!(stats.hits > 0);
     }
 
     #[test]
@@ -802,17 +912,24 @@ mod tests {
             ParallelConfig::new(2, 4, 1).unwrap(),
             1024,
         );
-        let shared = SubproblemCache::new(256);
         let plain = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
+        let rec = Recorder::new();
         let warm = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80))
-            .with_subproblem_cache(&shared);
+            .with_recorder(rec.clone());
         let r = LayerRange::new(3, 12);
-        // First call fills the cache, second replays it; both must be
+        // An empty slot is solved; once the DP's query fills it, the
+        // window and a sibling of its class are rebuilt from it. All are
         // byte-identical to the uncached solve.
         let expect = plain.optimize_stage(1, r).unwrap();
-        assert_eq!(warm.optimize_stage(1, r).unwrap(), expect);
-        assert_eq!(warm.optimize_stage(1, r).unwrap(), expect);
-        assert_eq!(shared.stats().hits, 1);
+        assert_eq!(warm.materialize_stage(1, r).unwrap(), expect);
+        assert!(warm.stage_times(1, r).is_some());
+        assert_eq!(warm.materialize_stage(1, r).unwrap(), expect);
+        let sibling = LayerRange::new(5, 14);
+        let expect = plain.optimize_stage(1, sibling).unwrap();
+        assert_eq!(warm.materialize_stage(1, sibling).unwrap(), expect);
+        let counters = rec.snapshot().counters;
+        assert_eq!(counters.get(keys::SUBCACHE_HITS), Some(&2));
+        assert_eq!(counters.get(keys::SUBCACHE_MISSES), Some(&1));
     }
 
     #[test]

@@ -20,10 +20,11 @@ impl RecomputeStrategy {
     /// Builds a strategy from per-unit saved flags.
     ///
     /// Saved flags are also the *portable* form of a knapsack solution:
-    /// the cross-request subproblem cache (`adapipe_partition::subcache`)
-    /// stores only these flags and replays them through
-    /// [`RecomputeStrategy::from_flags`] against the requesting window,
-    /// so a cache hit re-derives costs rather than trusting stored ones.
+    /// the §5.3 class table (`adapipe_partition`) keeps only these flags
+    /// per slot and replays them through
+    /// [`RecomputeStrategy::from_flags`] against the materialized
+    /// window, so a rebuilt stage re-derives costs rather than trusting
+    /// stored ones.
     ///
     /// # Panics
     ///

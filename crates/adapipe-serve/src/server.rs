@@ -675,10 +675,10 @@ fn plan_response(
     // The planner records into the *request* recorder: its span tree
     // lands in this request's trace, its metrics are absorbed into the
     // shared registry when the request completes. Every daemon planner
-    // shares the exec pool and the process-global subproblem cache, so
-    // cold plans prefill leaves in parallel and warm-start from leaves
-    // any earlier request already solved (plans stay byte-identical —
-    // docs/parallel.md).
+    // shares the exec pool and the process-wide class tables, so cold
+    // plans prefill leaves in parallel and a plan of an instance an
+    // earlier request filled runs no knapsack leaf (plans stay
+    // byte-identical — docs/parallel.md).
     let planner = match preq.planner() {
         Ok(p) => p
             .with_recorder(rec.clone())
@@ -783,7 +783,7 @@ fn metrics_response(shared: &Shared) -> Response {
 }
 
 /// Publishes the execution-engine state — exec-pool counters and the
-/// process-global subproblem cache — as gauges on the shared registry,
+/// process-global cache of class tables — as gauges on the shared registry,
 /// so `/metrics` and the serve bench artifact expose them.
 fn publish_engine_gauges(shared: &Shared) {
     let pool = shared.exec.stats();
@@ -792,8 +792,5 @@ fn publish_engine_gauges(shared: &Shared) {
     rec.gauge(keys::EXEC_POOL_BATCHES, convert::u64_f64(pool.batches));
     rec.gauge(keys::EXEC_POOL_TASKS, convert::u64_f64(pool.tasks));
     rec.gauge(keys::EXEC_POOL_STEALS, convert::u64_f64(pool.steals));
-    let sub = subcache::global();
-    rec.gauge(keys::SUBCACHE_ENTRIES, convert::count_f64(sub.len()));
-    rec.gauge(keys::SUBCACHE_EVICTIONS, convert::u64_f64(sub.evictions()));
-    rec.gauge(keys::SUBCACHE_BYTES, convert::u64_f64(sub.bytes()));
+    subcache::publish_gauges(rec);
 }

@@ -281,7 +281,11 @@ fn expired_deadline_is_rejected_and_late_finish_is_diagnosed() {
 #[test]
 fn metrics_expose_serve_and_iso_cache_families() {
     let (server, addr) = quick_server();
-    let body = gpt2_request().to_wire_text();
+    // A headroom no other test plans at, so the cold plan fills a class
+    // table of its own (tables are shared process-wide).
+    let mut req = gpt2_request();
+    req.headroom = 0.8125;
+    let body = req.to_wire_text();
     client::post_plan(&addr, &body).unwrap();
     client::post_plan(&addr, &body).unwrap();
 
@@ -320,6 +324,20 @@ fn metrics_expose_serve_and_iso_cache_families() {
         "planner metrics missing: {}",
         resp.body
     );
+    // Another headroom is another leaf budget: that request does not
+    // share the first one's table, so it evaluates leaves of its own.
+    let leaf_evals = || {
+        let snap = server.recorder().snapshot();
+        snap.counters
+            .get(keys::PARTITION_LEAF_EVALS)
+            .copied()
+            .unwrap_or(0)
+    };
+    let before = leaf_evals();
+    req.headroom = 0.8;
+    let resp = client::post_plan(&addr, &req.to_wire_text()).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    assert!(leaf_evals() > before, "a new headroom reused a class table");
     server.shutdown_and_join();
 }
 

@@ -7,9 +7,7 @@ use adapipe_hw::ClusterSpec;
 use adapipe_memory::{MemoryModel, OptimizerSpec, StageMemory};
 use adapipe_model::{LayerRange, LayerSeq, ModelSpec, ParallelConfig, TrainConfig};
 use adapipe_obs::{keys, Recorder};
-use adapipe_partition::{
-    algorithm1, f1b_iteration_time, subcache, F1bBreakdown, KnapsackCostProvider,
-};
+use adapipe_partition::{algorithm1, f1b_iteration_time, F1bBreakdown, KnapsackCostProvider};
 use adapipe_profiler::{ProfileTable, Profiler};
 use adapipe_recompute::{strategy, RecomputeStrategy, StageCost};
 use adapipe_sim::{schedule, simulate, StageExec};
@@ -33,10 +31,10 @@ pub struct Planner {
     /// search fully serial (the default — plans are byte-identical
     /// either way, see docs/parallel.md).
     exec: Option<Arc<ExecPool>>,
-    /// Whether adaptive searches consult the process-global
-    /// content-addressed subproblem cache. Off by default so one-shot
-    /// planners keep exact per-plan knapsack counters; the serving
-    /// daemon turns it on to warm-start across requests.
+    /// Whether adaptive searches answer from the process-wide class
+    /// table of their instance. Off by default so one-shot planners
+    /// keep exact per-plan knapsack counters; the serving daemon turns
+    /// it on to warm-start across requests.
     shared_subcache: bool,
 }
 
@@ -74,13 +72,13 @@ impl Planner {
         self
     }
 
-    /// Enables the process-global content-addressed subproblem cache
-    /// ([`adapipe_partition::subcache::global`]): knapsack leaves are
-    /// keyed by their layer-window *profile* and shared across plans and
-    /// requests, so a cold plan for a similar model warm-starts from
-    /// cached leaves. Replayed leaves are byte-identical to freshly
-    /// solved ones; per-plan knapsack-effort counters shrink on hits,
-    /// which is why this is opt-in.
+    /// Makes adaptive searches share the §5.3 class table of their
+    /// planning instance process-wide ([`adapipe_partition::subcache`]):
+    /// a plan of an instance an earlier plan filled — one that differs
+    /// only in global batch — answers every knapsack leaf from the
+    /// table. Plans are byte-identical either way; per-plan
+    /// knapsack-effort counters drop to zero on a warm table, which is
+    /// why this is opt-in.
     #[must_use]
     pub fn with_shared_subcache(mut self, enabled: bool) -> Self {
         self.shared_subcache = enabled;
@@ -254,14 +252,14 @@ impl Planner {
         Ok(plan)
     }
 
-    /// Builds the adaptive-search cost provider, attaching the global
-    /// subproblem cache when [`Planner::with_shared_subcache`] opted in.
+    /// Builds the adaptive-search cost provider, on the instance's
+    /// shared class table when [`Planner::with_shared_subcache`] opted in.
     fn adaptive_provider<'a>(&self, ctx: &'a Context) -> KnapsackCostProvider<'a> {
         let provider =
             KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
                 .with_recorder(self.rec.clone());
         if self.shared_subcache {
-            provider.with_subproblem_cache(subcache::global())
+            provider.with_shared_class_table()
         } else {
             provider
         }
@@ -318,7 +316,7 @@ impl Planner {
         parallel: ParallelConfig,
     ) -> Result<Vec<StagePlan>, PlanError> {
         // Only p windows are queried here; prefill overhead would exceed
-        // the work, so the even ablation gets the subcache but no pool.
+        // the work, so the even ablation gets the class table but no pool.
         let provider = self.adaptive_provider(ctx);
         let ranges = ctx.seq.even_partition(parallel.pipeline());
         self.materialize_adaptive(ctx, Method::EvenPartitioning, &provider, &ranges)
@@ -343,9 +341,11 @@ impl Planner {
                 "partitioning produced an invalid layer cover: {diags:?}"
             );
         }
+        // Each stage is rebuilt from the flags its class slot kept, not
+        // solved again.
         let mut stages = Vec::with_capacity(ranges.len());
         for (s, &range) in ranges.iter().enumerate() {
-            let opt = provider.optimize_stage(s, range)?;
+            let opt = provider.materialize_stage(s, range)?;
             stages.push(stage_plan(ctx, method, ranges, s, opt.strategy, opt.cost));
         }
         Ok(stages)

@@ -301,7 +301,7 @@ impl Planner {
         let mut fallback_stages = Vec::new();
         let mut stages = Vec::with_capacity(ranges.len());
         for (s, &range) in ranges.iter().enumerate() {
-            let (strat, cost) = match provider.provider_for(s).optimize_stage(s, range) {
+            let (strat, cost) = match provider.provider_for(s).materialize_stage(s, range) {
                 Ok(opt) => (opt.strategy, opt.cost),
                 Err(_) => {
                     self.recorder().incr(keys::REPLAN_FALLBACK_FULL_RECOMPUTE);

@@ -1,10 +1,11 @@
 //! Determinism laws for the parallel search engine (`docs/parallel.md`):
-//! attaching the exec pool or the shared subproblem cache must
-//! never change a single byte of an emitted plan. The pool only
+//! attaching the exec pool or sharing the §5.3 class table across plans
+//! must never change a single byte of an emitted plan. The pool only
 //! *prefills* isomorphism-class representatives — the DP itself stays
-//! serial — and the subcache stores per-unit save flags that are
-//! re-costed against the requesting window, so both layers are
-//! byte-transparent by construction. These tests pin that law.
+//! serial — and a shared table holds exactly what a private one would,
+//! with each slot's save flags re-costed against the materialized
+//! window, so both layers are byte-transparent by construction. These
+//! tests pin that law.
 
 use std::sync::Arc;
 
@@ -12,6 +13,7 @@ use adapipe::{plan_io, Method, Planner};
 use adapipe_exec::ExecPool;
 use adapipe_hw::presets as hw;
 use adapipe_model::{presets, ParallelConfig, TrainConfig};
+use adapipe_obs::{keys, Recorder};
 use proptest::prelude::*;
 
 fn gpt2_planner() -> Planner {
@@ -48,21 +50,38 @@ fn adapipe_plans_are_byte_identical_at_any_thread_count() {
     }
 }
 
-/// The process-global subproblem cache is byte-transparent: a planner
-/// with the shared cache enabled (cold, then warm — the second plan
-/// replays stored save-flags) emits exactly the uncached bytes, for
-/// both adaptive methods.
+/// Sharing the class table is byte-transparent: with it on, a plan at
+/// global batch 32 (cold) and then one at 64 (warm: the same instance,
+/// another n) emit exactly the uncached bytes, for both adaptive
+/// methods, and the warm plan evaluates no knapsack leaf.
 #[test]
 fn shared_subcache_replays_byte_identical_plans() {
-    let parallel = ParallelConfig::new(2, 4, 1).expect("valid");
-    let train = TrainConfig::new(1, 1024, 64).expect("valid");
-    for method in [Method::AdaPipe, Method::EvenPartitioning] {
-        let uncached = text_of(&gpt2_planner(), method, parallel, train);
-        let cached_planner = gpt2_planner().with_shared_subcache(true);
-        let cold = text_of(&cached_planner, method, parallel, train);
-        let warm = text_of(&cached_planner, method, parallel, train);
-        assert_eq!(cold, uncached, "{method}: cold cached plan diverged");
-        assert_eq!(warm, uncached, "{method}: warm cached plan diverged");
+    let gpt3 = Planner::new(presets::gpt3_175b(), hw::cluster_a_with_nodes(8));
+    for (planner, (t, p, seq)) in [(gpt2_planner(), (2, 4, 1024)), (gpt3, (8, 8, 4096))] {
+        let parallel = ParallelConfig::new(t, p, 1).expect("valid");
+        for method in [Method::AdaPipe, Method::EvenPartitioning] {
+            for global_batch in [32, 64] {
+                let train = TrainConfig::new(1, seq, global_batch).expect("valid");
+                let uncached = text_of(&planner, method, parallel, train);
+                let rec = Recorder::new();
+                let shared = planner
+                    .clone()
+                    .with_shared_subcache(true)
+                    .with_recorder(rec.clone());
+                let text = text_of(&shared, method, parallel, train);
+                let name = format!("{} {method} gbs {global_batch}", planner.model().name());
+                assert_eq!(text, uncached, "{name}: cached plan diverged");
+                if global_batch == 64 {
+                    let snap = rec.snapshot();
+                    let evals = snap.counters.get(keys::PARTITION_LEAF_EVALS);
+                    assert_eq!(
+                        evals.copied().unwrap_or(0),
+                        0,
+                        "{name}: warm plan evaluated leaves"
+                    );
+                }
+            }
+        }
     }
 }
 
