@@ -1,22 +1,25 @@
-//! A sharded, LRU-bounded cache from 32-byte content digests to shared
-//! values — the one LRU map in the workspace. It backs both the
-//! process-global cache of §5.3 class tables (`adapipe-partition`,
-//! keyed by planning-instance digests) and the daemon's plan cache
-//! (`adapipe-serve`, keyed by request digests).
+//! An exact LRU-bounded map from keys to shared values — the one
+//! bounded map in the workspace. It backs the process-global cache of
+//! §5.3 class tables (`adapipe-partition`, keyed by planning-instance
+//! digests), the daemon's plan cache (`adapipe-serve`, keyed by
+//! request digests) and the daemon's store of request traces (keyed by
+//! trace id).
 //!
-//! Shards are independently locked, so concurrent lookups of different
-//! digests do not serialize on one mutex, and each shard orders its
-//! LRU by a monotone per-shard tick rather than wall clock, so
-//! eviction is deterministic. The cache keeps exact hit/miss/eviction
-//! counters plus approximate byte accounting for the `subcache.*`
-//! gauges. Values are handed out as `Arc` clones: a hit never copies
-//! the cached payload and eviction never invalidates a value a reader
-//! already holds.
+//! One mutex guards the map. Every lookup and insert stamps its entry
+//! with the next value of one monotone tick, so no two entries share a
+//! tick and eviction — a linear scan for the smallest — is exact and
+//! deterministic: a cache of capacity `c` that has seen more than `c`
+//! keys holds exactly the `c` most recently used. The cache keeps
+//! exact hit/miss/eviction counters plus approximate byte accounting
+//! for the `subcache.*` gauges. Values are handed out as `Arc` clones:
+//! a hit never copies the cached payload and eviction never
+//! invalidates a value a reader already holds.
 
 use crate::stats::CacheStats;
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A cache key: a SHA-256 digest of the canonical encoding of whatever
 /// the value was computed from.
@@ -30,61 +33,36 @@ struct Entry<V: ?Sized> {
 }
 
 #[derive(Debug)]
-struct Shard<V: ?Sized> {
-    entries: HashMap<Digest, Entry<V>>,
+struct Inner<K, V: ?Sized> {
+    entries: HashMap<K, Entry<V>>,
     tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    bytes: u64,
 }
 
-impl<V: ?Sized> Default for Shard<V> {
-    fn default() -> Self {
-        Shard {
-            entries: HashMap::new(),
-            tick: 0,
-        }
-    }
-}
-
-/// A sharded LRU cache from content digest to `Arc<V>`.
+/// An exact LRU cache from `K` to `Arc<V>`.
 #[derive(Debug)]
-pub struct ShardedCache<V: ?Sized> {
-    shards: Vec<Mutex<Shard<V>>>,
-    per_shard: usize,
+pub struct LruCache<K, V: ?Sized> {
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    bytes: AtomicU64,
+    inner: Mutex<Inner<K, V>>,
 }
 
-impl<V: ?Sized> ShardedCache<V> {
-    /// How many independently-locked shards the cache splits into (or
-    /// fewer for tiny capacities, so `capacity` stays exact).
-    pub const SHARDS: usize = 16;
-
+impl<K: Eq + Hash + Clone, V: ?Sized> LruCache<K, V> {
     /// A cache holding at most `capacity` entries (floored at 1).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, Self::SHARDS)
-    }
-
-    /// A cache holding at most `capacity` entries (floored at 1) over
-    /// at most `shards` shards. One shard makes the LRU order exact,
-    /// which a cache of a handful of large entries needs: spread over
-    /// one-entry shards, two live keys can evict each other.
-    #[must_use]
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shard_count = shards.clamp(1, capacity);
-        ShardedCache {
-            shards: (0..shard_count)
-                .map(|_| Mutex::new(Shard::default()))
-                .collect(),
-            per_shard: capacity.div_ceil(shard_count),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
+        LruCache {
+            capacity: capacity.max(1),
+            inner: Mutex::new(Inner {
+                entries: HashMap::new(),
+                tick: 0,
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                bytes: 0,
+            }),
         }
     }
 
@@ -94,10 +72,10 @@ impl<V: ?Sized> ShardedCache<V> {
         self.capacity
     }
 
-    /// Entries currently cached, summed over shards.
+    /// Entries currently cached.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| self.lock(s).entries.len()).sum()
+        self.lock().entries.len()
     }
 
     /// Whether the cache holds no entries.
@@ -109,112 +87,80 @@ impl<V: ?Sized> ShardedCache<V> {
     /// Exact hit/miss counters accumulated so far.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+        let inner = self.lock();
+        CacheStats::new(inner.hits, inner.misses)
     }
 
     /// Entries evicted by the LRU bound so far.
     #[must_use]
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.lock().evictions
     }
 
     /// Approximate bytes currently held, as declared by inserters.
     #[must_use]
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.lock().bytes
     }
 
-    /// Looks up `key`, counting a hit or miss.
+    /// Looks up `key`, counting a hit or miss; a hit makes the entry
+    /// the most recently used.
     #[must_use]
-    pub fn get(&self, key: &Digest) -> Option<Arc<V>> {
-        let Some(target) = self.shard_for(key) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+    pub fn get<Q>(&self, key: &Q) -> Option<Arc<V>>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let tick = inner.tick;
+        let Some(entry) = inner.entries.get_mut(key) else {
+            inner.misses += 1;
             return None;
         };
-        let mut shard = self.lock(target);
-        shard.tick = shard.tick.wrapping_add(1);
-        let tick = shard.tick;
-        match shard.entries.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&entry.value))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        entry.last_used = tick;
+        let value = Arc::clone(&entry.value);
+        inner.hits += 1;
+        Some(value)
     }
 
-    /// Inserts (or refreshes) `key`, declaring the entry's approximate
-    /// payload size for the byte gauge; returns how many entries the
-    /// LRU bound evicted to make room. An `Arc` value is stored as is,
-    /// so later hits share the caller's allocation.
-    pub fn insert(&self, key: Digest, value: impl Into<Arc<V>>, approx_bytes: u64) -> usize {
-        let per_shard = self.per_shard;
-        let Some(target) = self.shard_for(&key) else {
+    /// Inserts (or refreshes) `key` as the most recently used entry,
+    /// declaring its approximate payload size for the byte gauge;
+    /// returns how many entries the LRU bound evicted to make room (0
+    /// or 1). An `Arc` value is stored as is, so later hits share the
+    /// caller's allocation.
+    pub fn insert(&self, key: K, value: impl Into<Arc<V>>, approx_bytes: u64) -> usize {
+        let mut inner = self.lock();
+        inner.tick += 1;
+        let entry = Entry {
+            value: value.into(),
+            bytes: approx_bytes,
+            last_used: inner.tick,
+        };
+        inner.bytes += approx_bytes;
+        if let Some(old) = inner.entries.insert(key, entry) {
+            inner.bytes -= old.bytes;
+            return 0;
+        }
+        if inner.entries.len() <= self.capacity {
+            return 0;
+        }
+        let oldest = inner
+            .entries
+            .iter()
+            .min_by_key(|(_, e)| e.last_used)
+            .map(|(k, _)| k.clone());
+        let Some(old) = oldest.and_then(|k| inner.entries.remove(&k)) else {
             return 0;
         };
-        let mut shard = self.lock(target);
-        shard.tick = shard.tick.wrapping_add(1);
-        let tick = shard.tick;
-        if let Some(old) = shard.entries.insert(
-            key,
-            Entry {
-                value: value.into(),
-                bytes: approx_bytes,
-                last_used: tick,
-            },
-        ) {
-            self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-        }
-        self.bytes.fetch_add(approx_bytes, Ordering::Relaxed);
-        let mut evicted = 0usize;
-        while shard.entries.len() > per_shard {
-            // Oldest tick wins eviction; ties (only possible after a
-            // tick wrap) break on the digest so the choice stays
-            // deterministic.
-            let Some(oldest) = shard
-                .entries
-                .iter()
-                .min_by_key(|(k, e)| (e.last_used, **k))
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            if let Some(old) = shard.entries.remove(&oldest) {
-                self.bytes.fetch_sub(old.bytes, Ordering::Relaxed);
-            }
-            evicted += 1;
-        }
-        self.evictions.fetch_add(
-            u64::try_from(evicted).unwrap_or(u64::MAX),
-            Ordering::Relaxed,
-        );
-        evicted
+        inner.bytes -= old.bytes;
+        inner.evictions += 1;
+        1
     }
 
-    /// The shard `key` lands in. `None` is unreachable (the modulus
-    /// keeps the index in range) but handled gracefully by callers
-    /// rather than panicking.
-    fn shard_for(&self, key: &Digest) -> Option<&Mutex<Shard<V>>> {
-        // SHA-256 output is uniform; the first 8 bytes pick a shard.
-        let mut prefix = [0u8; 8];
-        prefix.copy_from_slice(&key[..8]);
-        let idx = usize::try_from(u64::from_le_bytes(prefix) % self.shard_len()).unwrap_or(0);
-        self.shards.get(idx)
-    }
-
-    fn shard_len(&self) -> u64 {
-        u64::try_from(self.shards.len().max(1)).unwrap_or(1)
-    }
-
-    fn lock<'s>(&self, shard: &'s Mutex<Shard<V>>) -> std::sync::MutexGuard<'s, Shard<V>> {
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Inner<K, V>> {
+        // A panicked holder must not wedge every later lookup.
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -227,9 +173,13 @@ mod tests {
         sha256(&i.to_le_bytes())
     }
 
+    fn arc(s: &str) -> Arc<str> {
+        Arc::from(s)
+    }
+
     #[test]
     fn get_after_insert_hits() {
-        let cache = ShardedCache::new(64);
+        let cache = LruCache::new(64);
         assert!(cache.get(&key(1)).is_none());
         cache.insert(key(1), "one", 3);
         assert_eq!(cache.get(&key(1)).as_deref(), Some(&"one"));
@@ -238,19 +188,17 @@ mod tests {
 
     #[test]
     fn capacity_bounds_total_entries() {
-        let cache = ShardedCache::new(8);
+        let cache = LruCache::new(8);
         for i in 0..100 {
             cache.insert(key(i), i, 8);
         }
-        // Per-shard rounding can leave len slightly under the bound,
-        // never over SHARDS-rounded capacity.
-        assert!(cache.len() <= 8 * ShardedCache::<u64>::SHARDS.min(8));
-        assert!(cache.evictions() > 0);
+        assert_eq!((cache.len(), cache.evictions()), (8, 92));
+        assert!((92..100).all(|i| cache.get(&key(i)).is_some()));
     }
 
     #[test]
     fn bytes_track_inserts_and_evictions() {
-        let cache = ShardedCache::new(4);
+        let cache = LruCache::new(4);
         for i in 0..50 {
             cache.insert(key(i), i, 10);
         }
@@ -260,7 +208,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_bytes_not_duplicates() {
-        let cache = ShardedCache::new(16);
+        let cache = LruCache::new(16);
         cache.insert(key(7), "a", 100);
         cache.insert(key(7), "b", 40);
         assert_eq!(cache.len(), 1);
@@ -270,8 +218,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        // Single shard (capacity 1 shard min) so LRU order is total.
-        let cache = ShardedCache::new(1);
+        let cache = LruCache::new(1);
         cache.insert(key(1), 1, 1);
         cache.insert(key(2), 2, 1);
         assert!(cache.get(&key(1)).is_none(), "older entry evicted");
@@ -280,13 +227,12 @@ mod tests {
 
     #[test]
     fn tiny_capacity_stays_exact() {
-        let cache = ShardedCache::new(2);
+        let cache = LruCache::new(2);
         for i in 0..20 {
             cache.insert(key(i), i, 1);
         }
-        assert!(cache.len() <= 2);
-        // One shard holds exactly the most recent `capacity` keys.
-        let cache = ShardedCache::with_shards(4, 1);
+        assert_eq!(cache.len(), 2);
+        let cache = LruCache::new(4);
         for i in 0..20 {
             cache.insert(key(i), i, 1);
         }
@@ -294,17 +240,9 @@ mod tests {
         assert!((16..20).all(|i| cache.get(&key(i)).is_some()));
     }
 
-    /// A digest whose first eight bytes are zero, so every such key
-    /// lands in shard 0 and LRU order within it is observable.
-    fn shard0_key(i: u8) -> Digest {
-        let mut d = [0u8; 32];
-        d[31] = i;
-        d
-    }
-
     #[test]
     fn get_returns_the_exact_inserted_bytes() {
-        let cache: ShardedCache<str> = ShardedCache::new(16);
+        let cache: LruCache<Digest, str> = LruCache::new(16);
         let original: Arc<str> = Arc::from("adapipe-plan v2\nstage 0 ...\n");
         cache.insert(key(1), Arc::clone(&original), 28);
         let hit = cache.get(&key(1)).unwrap();
@@ -317,7 +255,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_least_recently_used() {
-        let cache: ShardedCache<&str> = ShardedCache::new(1);
+        let cache: LruCache<Digest, &str> = LruCache::new(1);
         assert_eq!(cache.insert(key(1), "a", 1), 0);
         assert_eq!(cache.insert(key(2), "b", 1), 1);
         assert_eq!((cache.len(), cache.evictions()), (1, 1));
@@ -327,34 +265,54 @@ mod tests {
 
     #[test]
     fn touching_an_entry_protects_it_from_eviction() {
-        // 32 entries over 16 shards: two per shard.
-        let cache: ShardedCache<&str> = ShardedCache::new(32);
-        cache.insert(shard0_key(1), "a", 1);
-        cache.insert(shard0_key(2), "b", 1);
-        assert!(cache.get(&shard0_key(1)).is_some(), "refresh a");
-        assert_eq!(cache.insert(shard0_key(3), "c", 1), 1);
-        assert!(
-            cache.get(&shard0_key(1)).is_some(),
-            "recently-used survives"
-        );
-        assert!(cache.get(&shard0_key(2)).is_none(), "lru entry evicted");
-        assert!(cache.get(&shard0_key(3)).is_some());
+        let cache: LruCache<Digest, &str> = LruCache::new(2);
+        cache.insert(key(1), "a", 1);
+        cache.insert(key(2), "b", 1);
+        assert!(cache.get(&key(1)).is_some(), "refresh a");
+        assert_eq!(cache.insert(key(3), "c", 1), 1);
+        assert!(cache.get(&key(1)).is_some(), "recently-used survives");
+        assert!(cache.get(&key(2)).is_none(), "lru entry evicted");
+        assert!(cache.get(&key(3)).is_some());
+    }
+
+    #[test]
+    fn holds_exactly_the_most_recently_used_keys() {
+        // A recency list models the LRU: most recent last.
+        let cache = LruCache::new(64);
+        let mut recency: Vec<u64> = Vec::new();
+        for i in 0..200 {
+            cache.insert(key(i), i, 1);
+            recency.push(i);
+            // Keys 0..4 are read again every 16 inserts, so they
+            // outlive every key inserted after them.
+            if i % 16 == 15 {
+                for early in 0..4 {
+                    assert!(cache.get(&key(early)).is_some(), "key {early} live");
+                    recency.retain(|&k| k != early);
+                    recency.push(early);
+                }
+            }
+        }
+        let newest = &recency[recency.len() - 64..];
+        assert_eq!((cache.len(), cache.evictions()), (64, 200 - 64));
+        for i in 0..200 {
+            assert_eq!(cache.get(&key(i)).is_some(), newest.contains(&i), "key {i}");
+        }
     }
 
     #[test]
     fn capacity_is_respected_under_many_inserts() {
-        let cache = ShardedCache::new(100);
+        let cache = LruCache::new(100);
         for i in 0..1000 {
             cache.insert(key(i), i, 1);
         }
-        // div_ceil may round each shard's bound up by at most 1.
-        assert!(cache.len() <= cache.capacity() + ShardedCache::<u64>::SHARDS);
-        assert!(!cache.is_empty());
+        assert_eq!(cache.len(), cache.capacity());
+        assert_eq!(cache.evictions(), 900);
     }
 
     #[test]
     fn reinserting_a_digest_does_not_grow_the_cache() {
-        let cache: ShardedCache<&str> = ShardedCache::new(4);
+        let cache: LruCache<Digest, &str> = LruCache::new(4);
         for _ in 0..10 {
             cache.insert(key(3), "x", 8);
         }
@@ -363,7 +321,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_from_many_threads_is_safe() {
-        let cache: Arc<ShardedCache<str>> = Arc::new(ShardedCache::new(32));
+        let cache: Arc<LruCache<Digest, str>> = Arc::new(LruCache::new(32));
         let handles: Vec<_> = (0..8u64)
             .map(|t| {
                 let cache = Arc::clone(&cache);
@@ -381,6 +339,48 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(cache.stats().lookups(), 8 * 200);
-        assert!(cache.len() <= cache.capacity() + ShardedCache::<str>::SHARDS);
+        assert_eq!(cache.len(), cache.capacity());
+        assert_eq!(cache.bytes(), 32 * 4);
+    }
+
+    #[test]
+    fn stores_and_retrieves_by_id() {
+        let traces: LruCache<String, str> = LruCache::new(4);
+        traces.insert("a-1".to_string(), arc("[1]"), 3);
+        assert_eq!(traces.get("a-1").as_deref(), Some("[1]"));
+        assert_eq!(traces.get("missing"), None);
+        assert_eq!(traces.len(), 1);
+    }
+
+    #[test]
+    fn capacity_evicts_oldest_first() {
+        let traces: LruCache<String, str> = LruCache::new(2);
+        traces.insert("a".to_string(), arc("[a]"), 3);
+        traces.insert("b".to_string(), arc("[b]"), 3);
+        traces.insert("c".to_string(), arc("[c]"), 3);
+        assert_eq!(traces.get("a"), None, "oldest evicted");
+        assert!(traces.get("b").is_some() && traces.get("c").is_some());
+        assert_eq!(traces.len(), 2);
+    }
+
+    #[test]
+    fn reinsert_replaces_without_consuming_capacity() {
+        let traces: LruCache<String, str> = LruCache::new(2);
+        traces.insert("a".to_string(), arc("[old]"), 5);
+        traces.insert("a".to_string(), arc("[new]"), 5);
+        traces.insert("b".to_string(), arc("[b]"), 3);
+        assert_eq!(traces.get("a").as_deref(), Some("[new]"));
+        assert!(traces.get("b").is_some());
+        assert_eq!((traces.len(), traces.evictions()), (2, 0));
+    }
+
+    #[test]
+    fn zero_capacity_is_floored_to_one() {
+        let traces: LruCache<String, str> = LruCache::new(0);
+        assert_eq!(traces.capacity(), 1);
+        traces.insert("a".to_string(), arc("[a]"), 3);
+        traces.insert("b".to_string(), arc("[b]"), 3);
+        assert_eq!(traces.get("a"), None);
+        assert!(traces.get("b").is_some());
     }
 }

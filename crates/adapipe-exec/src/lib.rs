@@ -11,13 +11,13 @@
 //!   order and contains task panics into a typed [`ExecError`], so a
 //!   poisoned leaf cannot deadlock or abort the daemon. Thread count
 //!   comes from `ADAPIPE_THREADS` (see [`ExecPool::from_env`]).
-//! * [`ShardedCache`] — the workspace's one sharded, LRU-bounded map
-//!   from 32-byte content digests to shared values, with exact
-//!   hit/miss/eviction counters and approximate byte accounting. The
-//!   planner keys it with [`sha256`] over a canonical subproblem
-//!   encoding so *similar* models share knapsack leaves across
-//!   requests (`adapipe-partition`'s global subproblem cache), and the
-//!   serve daemon keys its plan cache with request digests.
+//! * [`LruCache`] — the workspace's one exact LRU-bounded map to
+//!   shared values, with exact hit/miss/eviction counters and
+//!   approximate byte accounting. `adapipe-partition` keeps its
+//!   process-global cache of §5.3 class tables in one, keyed by the
+//!   [`sha256`] `instance_digest` of a planning instance; the serve
+//!   daemon keys its plan cache with request digests and its request
+//!   traces with trace ids.
 //!
 //! Determinism is the design law, not an accident: the pool only
 //! distributes *indices* of a pre-enumerated task list and scatters
@@ -35,7 +35,7 @@ pub mod pool;
 pub mod sha;
 pub mod stats;
 
-pub use cache::ShardedCache;
+pub use cache::LruCache;
 pub use pool::{ExecError, ExecPool, PoolStats};
 pub use sha::{digest_from_hex, sha256, sha256_hex};
 pub use stats::CacheStats;

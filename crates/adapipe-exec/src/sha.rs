@@ -2,9 +2,10 @@
 //!
 //! Two caches key on these digests: `adapipe-serve`'s plan cache
 //! (canonical plan requests, `/v1/plan/{digest}` URLs) and
-//! `adapipe-partition`'s global subproblem cache (canonical knapsack
-//! leaf encodings). The workspace is hermetic (no registry crates), so
-//! the digest is implemented here against the published test vectors.
+//! `adapipe-partition`'s process-global cache of §5.3 class tables
+//! (keyed by `instance_digest`). The workspace is hermetic (no
+//! registry crates), so the digest is implemented here against the
+//! published test vectors.
 //! It is used only for cache addressing — collisions would cost a
 //! wrong cache hit, not a security property — but the full standard
 //! algorithm keeps digests stable across versions and lets clients

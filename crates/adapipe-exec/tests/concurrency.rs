@@ -1,13 +1,14 @@
 //! Concurrency contract of the execution layer, mirroring
 //! `adapipe-obs/tests/concurrency.rs`: pool batches under panicking
-//! tasks must always join (no deadlocked shutdown), the sharded
-//! subproblem cache must keep *exact* counters while writers hammer it
-//! from many threads, and results must be bit-identical at any thread
-//! count. All under `#![forbid(unsafe_code)]` — scoped threads, one
-//! atomic claim cursor, and mutexed cache shards are the only
-//! primitives.
+//! tasks must always join (no deadlocked shutdown), the LRU cache that
+//! holds §5.3 class tables (keyed by `instance_digest`) and daemon
+//! plans must keep *exact* counters and its exact bound while writers
+//! hammer it from many threads, and results must be bit-identical at
+//! any thread count. All under `#![forbid(unsafe_code)]` — scoped
+//! threads, one atomic claim cursor, and one mutexed cache map are the
+//! only primitives.
 
-use adapipe_exec::{sha256, CacheStats, ExecError, ExecPool, ShardedCache};
+use adapipe_exec::{sha256, CacheStats, ExecError, ExecPool, LruCache};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::thread;
@@ -68,7 +69,7 @@ fn concurrent_batches_do_not_interfere() {
 /// set.
 #[test]
 fn sharded_cache_counters_are_exact_under_contention() {
-    let cache = Arc::new(ShardedCache::new(256));
+    let cache = Arc::new(LruCache::new(256));
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
             let cache = Arc::clone(&cache);
@@ -100,7 +101,7 @@ fn sharded_cache_counters_are_exact_under_contention() {
 /// Eviction accounting stays exact when writers overflow a tiny cache.
 #[test]
 fn eviction_counters_are_exact_under_contention() {
-    let cache = Arc::new(ShardedCache::new(8));
+    let cache = Arc::new(LruCache::new(8));
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
             let cache = Arc::clone(&cache);
@@ -114,10 +115,12 @@ fn eviction_counters_are_exact_under_contention() {
     for h in handles {
         h.join().unwrap();
     }
-    // Live entries never exceed the per-shard bound and bytes match.
-    assert!(cache.len() <= cache.capacity() * 2);
+    // Every insert is a distinct key: the cache is full to its exact
+    // bound, every other insert was evicted once, and bytes match.
+    let inserts = WRITERS as u64 * OPS_PER_WRITER;
+    assert_eq!(cache.len(), cache.capacity());
+    assert_eq!(cache.evictions(), inserts - cache.capacity() as u64);
     assert_eq!(cache.bytes(), cache.len() as u64 * 4);
-    assert!(cache.evictions() > 0);
 }
 
 proptest! {

@@ -109,8 +109,9 @@ pub const PREFILL_LEAVES: &str = "partition.prefill.leaves";
 
 // ---- execution-engine names ----------------------------------------
 // Produced by consumers of `adapipe-exec` (the planner, the serve
-// daemon, the benches) from `ExecPool::stats()` and the global
-// subproblem cache; see docs/parallel.md.
+// daemon, the benches) from `ExecPool::stats()` and the process-global
+// cache of §5.3 class tables keyed by `instance_digest`; see
+// docs/parallel.md.
 
 /// Workers configured in the deterministic exec pool (gauge).
 pub const EXEC_POOL_WORKERS: &str = "exec.pool.workers";

@@ -242,6 +242,8 @@ pub struct KnapsackCostProvider<'a> {
     capacity: Bytes,
     rec: Recorder,
     classes: Arc<ClassTable>,
+    /// [`layer_shapes`] of `table`, computed on first use.
+    shapes: OnceLock<Vec<usize>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -263,6 +265,7 @@ impl<'a> KnapsackCostProvider<'a> {
             capacity,
             rec: Recorder::disabled(),
             classes: Arc::new(ClassTable::new(seq.len(), mem.parallel().pipeline())),
+            shapes: OnceLock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -360,15 +363,10 @@ impl<'a> KnapsackCostProvider<'a> {
     fn rebuild(&self, slot: usize, stage: usize, range: LayerRange) -> Option<OptimizedStage> {
         let chosen = self.classes.slots().1[slot].get()?;
         let filler = LayerRange::new(chosen.first, chosen.first + range.len() - 1);
-        let budget = self.budget(stage, range)?;
-        let same =
-            filler == range
-                || (filler.as_range().zip(range.as_range()).all(|(a, b)| {
-                    same_items(self.table.layer_units(a), self.table.layer_units(b))
-                }) && self.budget(stage, filler) == Some(budget));
-        if !same {
+        if !self.same_inputs(stage, filler, range) {
             return None;
         }
+        let budget = self.budget(stage, range)?;
         let units = self.table.units_in(range);
         let strategy = RecomputeStrategy::from_flags(&units, chosen.flags(units.len()));
         let cost = cost_of(&units, &strategy);
@@ -388,19 +386,33 @@ impl<'a> KnapsackCostProvider<'a> {
     /// the slot may hold in place of `range`'s; `None` when the class is
     /// sound for `range` or `range` has no slot (so is never shared).
     ///
-    /// Solves no knapsack: layers are deduplicated by content once, then
-    /// each sibling costs one slice comparison and one budget.
+    /// Solves no knapsack: layers are deduplicated by content once per
+    /// provider, then each sibling costs one slice comparison and two
+    /// budgets.
     #[must_use]
     pub fn isomorphism_violation(&self, stage: usize, range: LayerRange) -> Option<LayerRange> {
         let slot = self.classes.index(self.seq, stage, range)?;
-        let shapes = layer_shapes(self.table);
-        let own = shapes.get(range.first..=range.last)?;
-        let budget = self.budget(stage, range);
         let len = range.len();
         (0..=self.seq.len() - len)
             .map(|first| LayerRange::new(first, first + len - 1))
             .filter(|&r| self.classes.index(self.seq, stage, r) == Some(slot))
-            .find(|&r| shapes.get(r.first..=r.last) != Some(own) || self.budget(stage, r) != budget)
+            .find(|&r| !self.same_inputs(stage, range, r))
+    }
+
+    /// Whether windows `a` and `b` feed stage `stage`'s knapsack the
+    /// same inputs: per layer the same items (equal slices of
+    /// [`layer_shapes`], computed once per provider) and the same
+    /// activation budget. The one statement of the rule: materialize
+    /// rebuilds a slot's flags only into a window that passes it, and
+    /// [`KnapsackCostProvider::isomorphism_violation`] names a sibling
+    /// that fails it.
+    fn same_inputs(&self, stage: usize, a: LayerRange, b: LayerRange) -> bool {
+        let shapes = self.shapes.get_or_init(|| layer_shapes(self.table));
+        let items = |r: LayerRange| shapes.get(r.first..=r.last);
+        a == b
+            || (items(a).is_some()
+                && items(a) == items(b)
+                && self.budget(stage, a) == self.budget(stage, b))
     }
 
     fn budget(&self, stage: usize, range: LayerRange) -> Option<Bytes> {

@@ -25,7 +25,7 @@
 
 use crate::provider::ClassTable;
 use adapipe_exec::cache::Digest;
-use adapipe_exec::{sha256, ShardedCache};
+use adapipe_exec::{sha256, LruCache};
 use adapipe_memory::MemoryModel;
 use adapipe_model::{LayerKind, LayerSeq, UnitKind};
 use adapipe_obs::{keys, Recorder};
@@ -39,11 +39,10 @@ use std::sync::{Arc, OnceLock};
 /// (`serve-paper-miss`).
 pub const CAPACITY: usize = 8;
 
-/// The shared cache: one shard, so the LRU order over its few entries
-/// is exact.
-pub(crate) fn global() -> &'static ShardedCache<ClassTable> {
-    static GLOBAL: OnceLock<ShardedCache<ClassTable>> = OnceLock::new();
-    GLOBAL.get_or_init(|| ShardedCache::with_shards(CAPACITY, 1))
+/// The shared cache.
+pub(crate) fn global() -> &'static LruCache<Digest, ClassTable> {
+    static GLOBAL: OnceLock<LruCache<Digest, ClassTable>> = OnceLock::new();
+    GLOBAL.get_or_init(|| LruCache::new(CAPACITY))
 }
 
 /// The shared table of the instance, inserted empty on first use.
@@ -247,8 +246,8 @@ mod tests {
 
     #[test]
     fn global_cache_is_a_singleton() {
-        let a = global() as *const ShardedCache<ClassTable>;
-        let b = global() as *const ShardedCache<ClassTable>;
+        let a = global() as *const LruCache<Digest, ClassTable>;
+        let b = global() as *const LruCache<Digest, ClassTable>;
         assert_eq!(a, b);
         assert_eq!(global().capacity(), CAPACITY);
     }

@@ -23,15 +23,15 @@
 //! Every `POST /v1/plan` response carries a deterministic trace id in
 //! `X-Adapipe-Trace` (digest prefix + sequence, no wall-clock); its
 //! span timeline — queue wait, parse, the planner's phases, verify,
-//! cache insert — is retrievable from a bounded in-memory store via
-//! `GET /v1/trace/{id}`.
+//! cache insert — is retrievable via `GET /v1/trace/{id}` while it is
+//! among the daemon's `trace_capacity` most recently used traces.
 //!
 //! ## The pipeline
 //!
 //! Requests are [canonicalized](request::PlanRequest::canonical_text)
 //! so dimensionally-equal configs share a SHA-256 digest, then answered
-//! from a sharded LRU plan cache ([`adapipe_exec::ShardedCache`] keyed
-//! by the raw 32-byte digest); misses are planned
+//! from an exact LRU plan cache ([`adapipe_exec::LruCache`] keyed by
+//! the raw 32-byte digest); misses are planned
 //! on a [bounded worker pool](queue::BoundedQueue) with explicit
 //! backpressure (`503 + Retry-After`, never accept-then-hang),
 //! per-request deadlines classified by the `adapipe-faults` watchdog,
@@ -65,7 +65,6 @@ pub mod names;
 pub mod queue;
 pub mod request;
 mod server;
-pub mod trace_store;
 
 pub use request::{PlanRequest, RequestError, DEFAULT_HEADROOM, REQUEST_HEADER};
 pub use server::{ServeConfig, ServeSummary, Server};

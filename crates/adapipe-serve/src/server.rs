@@ -36,7 +36,7 @@
 //! recorder, and `POST /v1/plan` responses return a deterministic trace
 //! id in `X-Adapipe-Trace` — `<digest prefix>-<sequence>`, no
 //! wall-clock — whose Chrome-trace JSON is retrievable from a bounded
-//! [`TraceStore`] via `GET /v1/trace/{id}`. Metrics (not spans) from
+//! LRU of traces via `GET /v1/trace/{id}`. Metrics (not spans) from
 //! the request recorder are folded into the shared registry via
 //! [`Recorder::absorb`], so `/metrics` aggregates while span storage
 //! stays bounded per request.
@@ -55,9 +55,9 @@
 use crate::http::{self, Request, Response};
 use crate::queue::{BoundedQueue, PushError};
 use crate::request::{PlanRequest, RequestError};
-use crate::trace_store::TraceStore;
 use adapipe::VerifyOptions;
-use adapipe_exec::{digest_from_hex, ExecPool, ShardedCache};
+use adapipe_exec::cache::Digest;
+use adapipe_exec::{digest_from_hex, ExecPool, LruCache};
 use adapipe_faults::{DegradationEvent, Diagnosis, Watchdog};
 use adapipe_obs::{flight, keys, report, trace, FlightRecorder, Recorder};
 use adapipe_partition::subcache;
@@ -109,8 +109,8 @@ pub struct ServeConfig {
     /// Extra latency injected into every cold plan — a testing aid that
     /// makes backpressure and drain scenarios deterministic.
     pub plan_delay: Option<Duration>,
-    /// How many request traces `GET /v1/trace/{id}` retains (oldest
-    /// evicted first).
+    /// How many request traces `GET /v1/trace/{id}` retains (least
+    /// recently stored or fetched evicted first).
     pub trace_capacity: usize,
     /// Flight-recorder ring capacity (events retained for dumps).
     pub flight_capacity: usize,
@@ -163,13 +163,14 @@ struct Shared {
     cfg: ServeConfig,
     addr: SocketAddr,
     /// Plan cache: raw request digest → cold response body.
-    cache: ShardedCache<str>,
+    cache: LruCache<Digest, str>,
     /// Deterministic exec pool shared by every worker's
     /// planner for parallel leaf prefill (`ADAPIPE_THREADS` sizes it).
     exec: Arc<ExecPool>,
     queue: BoundedQueue<Job>,
     rec: Recorder,
-    traces: TraceStore,
+    /// Request traces: trace id → Chrome-trace JSON.
+    traces: LruCache<String, str>,
     flight: FlightRecorder,
     trace_seq: AtomicU64,
     busy: AtomicUsize,
@@ -289,10 +290,12 @@ impl Shared {
     }
 
     /// Renders the request recorder's spans as Chrome-trace JSON and
-    /// parks them in the bounded trace store.
+    /// parks them in the bounded trace cache.
     fn store_trace(&self, rec: &Recorder, trace_id: &str) {
         let text = trace::chrome_trace_json(&rec.snapshot());
-        self.traces.insert(trace_id, Arc::from(text.as_str()));
+        let bytes = convert::usize_u64(text.len());
+        self.traces
+            .insert(trace_id.to_string(), Arc::from(text.as_str()), bytes);
     }
 }
 
@@ -311,11 +314,11 @@ impl Server {
         let listener = TcpListener::bind((cfg.host.as_str(), cfg.port))?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
-            cache: ShardedCache::new(cfg.cache_capacity),
+            cache: LruCache::new(cfg.cache_capacity),
             exec: Arc::new(ExecPool::from_env()),
             queue: BoundedQueue::new(cfg.queue_depth),
             rec,
-            traces: TraceStore::new(cfg.trace_capacity),
+            traces: LruCache::new(cfg.trace_capacity),
             flight: FlightRecorder::new(cfg.flight_capacity),
             trace_seq: AtomicU64::new(1),
             busy: AtomicUsize::new(0),
@@ -583,7 +586,7 @@ fn trace_response(shared: &Shared, id: &str) -> Response {
         None => Response::new(
             404,
             format!(
-                "no trace {id} (store retains the last {})\n",
+                "no trace {id} (the daemon keeps its {} most recently used traces)\n",
                 shared.traces.capacity()
             ),
         ),

@@ -11,22 +11,47 @@
 //!   higher-is-better, everything else (times, cell counts, DP effort)
 //!   is lower-is-better.
 //!
+//! Deterministic work counters (keys ending in `.calls`, `.cells`,
+//! `.states`, `.candidates`, `leaf_evals` or `leaf_oom`: knapsack
+//! calls and cells, DP states and candidates, leaf evaluations and
+//! out-of-memory leaves) must match exactly: any change either way
+//! fails, because a moved counter means the search did different work,
+//! and the artifact that records it is regenerated on purpose. Rates
+//! and times vary run to run and fail only beyond
+//! [`REGRESSION_THRESHOLD`].
+//!
 //! `bench.wall_s` is skipped: end-to-end wall clock of the regenerator
 //! binary is machine load in a trench coat, not a tracked metric.
 //! `exec.pool.*` gauges are skipped for the same reason — worker count
 //! and batch/task/steal totals echo the machine and
 //! `ADAPIPE_THREADS`, not plan quality, so a 1-thread baseline would
-//! spuriously "regress" against an N-thread run. Metrics with a
-//! non-positive baseline are skipped too — a relative change from zero
-//! is undefined.
+//! spuriously "regress" against an N-thread run. Rates and times with
+//! a non-positive baseline are skipped too — a relative change from
+//! zero is undefined.
 
 use adapipe_obs::json::{self, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Relative change above which a metric counts as regressed (20%).
+/// Relative change above which a rate or time counts as regressed
+/// (20%).
 pub const REGRESSION_THRESHOLD: f64 = 0.20;
+
+/// Key suffixes of the deterministic work counters, compared exactly.
+const WORK_COUNTER_SUFFIXES: &[&str] = &[
+    ".calls",
+    ".cells",
+    ".states",
+    ".candidates",
+    "leaf_evals",
+    "leaf_oom",
+];
+
+/// Whether `key` names a deterministic work counter.
+fn is_work_counter(key: &str) -> bool {
+    WORK_COUNTER_SUFFIXES.iter().any(|s| key.ends_with(s))
+}
 
 /// Which way "better" points for a metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,20 +70,75 @@ pub struct MetricDiff {
     pub baseline: f64,
     pub new: f64,
     pub direction: Direction,
+    /// Whether the metric is a work counter, compared exactly.
+    pub exact: bool,
     /// Relative change in the *worse* direction: positive values mean
     /// the new run is worse, so `0.25` is a 25% regression.
     pub regression: f64,
 }
 
 impl MetricDiff {
+    /// Compares one metric of artifact `file`. `None` for a rate or
+    /// time with a non-positive baseline, whose relative change is
+    /// undefined; a work counter is compared from any baseline.
+    #[must_use]
+    pub fn compare(
+        file: &str,
+        id: &str,
+        baseline: f64,
+        new: f64,
+        direction: Direction,
+    ) -> Option<Self> {
+        let exact = is_work_counter(id);
+        if baseline <= 0.0 && !exact {
+            return None;
+        }
+        let worse_by = match direction {
+            Direction::LowerIsBetter => new - baseline,
+            Direction::HigherIsBetter => baseline - new,
+        };
+        let regression = if baseline > 0.0 {
+            worse_by / baseline
+        } else {
+            0.0
+        };
+        Some(MetricDiff {
+            file: file.to_string(),
+            id: id.to_string(),
+            baseline,
+            new,
+            direction,
+            exact,
+            regression,
+        })
+    }
+
+    /// Whether the metric fails: an exact counter that changed at all,
+    /// or another metric worse by more than `threshold`.
     #[must_use]
     pub fn is_regression(&self, threshold: f64) -> bool {
-        self.regression > threshold
+        if self.exact {
+            self.new != self.baseline
+        } else {
+            self.regression > threshold
+        }
     }
 }
 
 impl fmt::Display for MetricDiff {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.exact {
+            let verdict = if self.new == self.baseline {
+                "exact"
+            } else {
+                "counter changed"
+            };
+            return write!(
+                f,
+                "{}: {} {} -> {} ({verdict})",
+                self.file, self.id, self.baseline, self.new
+            );
+        }
         write!(
             f,
             "{}: {} {:.6} -> {:.6} ({}{:.1}%)",
@@ -116,25 +196,13 @@ pub fn diff_dirs(baseline: &Path, new: &Path) -> Result<DiffReport, String> {
         };
         let base_metrics = read_metrics(base_path)?;
         let new_metrics = read_metrics(new_path)?;
-        for (id, (base_value, direction)) in &base_metrics {
-            let Some((new_value, _)) = new_metrics.get(id) else {
+        for (id, &(base_value, direction)) in &base_metrics {
+            let Some(&(new_value, _)) = new_metrics.get(id) else {
                 continue;
             };
-            if *base_value <= 0.0 {
-                continue;
-            }
-            let regression = match direction {
-                Direction::LowerIsBetter => (new_value - base_value) / base_value,
-                Direction::HigherIsBetter => (base_value - new_value) / base_value,
-            };
-            report.diffs.push(MetricDiff {
-                file: name.clone(),
-                id: id.clone(),
-                baseline: *base_value,
-                new: *new_value,
-                direction: *direction,
-                regression,
-            });
+            report.diffs.extend(MetricDiff::compare(
+                name, id, base_value, new_value, direction,
+            ));
         }
     }
     for name in new_files.keys() {
@@ -203,7 +271,7 @@ fn extract_metrics(doc: &Value) -> BTreeMap<String, (f64, Direction)> {
 /// Direction heuristic: throughput-shaped keys go up, cost-shaped keys
 /// go down.
 fn direction_of(key: &str) -> Direction {
-    const HIGHER_IS_BETTER: &[&str] = &["rps", "throughput", "hit_rate", "hits"];
+    const HIGHER_IS_BETTER: &[&str] = &["rps", "throughput", "hit_rate", "hits", "hit_over_miss"];
     if HIGHER_IS_BETTER.iter().any(|h| key.contains(h)) {
         Direction::HigherIsBetter
     } else {
@@ -245,6 +313,10 @@ mod tests {
             m.get("serve.rps"),
             Some(&(800.0, Direction::HigherIsBetter))
         );
+        assert_eq!(
+            direction_of("bench.serve_load.hit_over_miss"),
+            Direction::HigherIsBetter
+        );
         assert!(!m.contains_key("bench.wall_s"), "wall clock is not tracked");
         assert!(
             !m.contains_key("exec.pool.workers") && !m.contains_key("exec.pool.steals"),
@@ -260,6 +332,7 @@ mod tests {
             baseline: 100.0,
             new: 130.0,
             direction: Direction::LowerIsBetter,
+            exact: false,
             regression: 0.30,
         };
         assert!(worse_latency.is_regression(REGRESSION_THRESHOLD));
@@ -278,6 +351,7 @@ mod tests {
             baseline: 1.0,
             new: 1.0 + reg,
             direction: Direction::LowerIsBetter,
+            exact: false,
             regression: reg,
         };
         let report = DiffReport {
@@ -287,5 +361,40 @@ mod tests {
         let regs = report.regressions(REGRESSION_THRESHOLD);
         let ids: Vec<&str> = regs.iter().map(|d| d.id.as_str()).collect();
         assert_eq!(ids, ["big", "small"]);
+    }
+
+    #[test]
+    fn work_counters_are_compared_exactly() {
+        let cmp = |id: &str, base: f64, new: f64| {
+            MetricDiff::compare("BENCH_a.json", id, base, new, direction_of(id))
+                .expect("work counters are always compared")
+                .is_regression(REGRESSION_THRESHOLD)
+        };
+        assert!(
+            cmp("recompute.knapsack.calls", 179.0, 180.0),
+            "one more call"
+        );
+        assert!(
+            cmp("partition.alg1.candidates", 7659.0, 7658.0),
+            "one fewer"
+        );
+        assert!(cmp("partition.leaf_oom", 0.0, 1.0), "from a zero baseline");
+        assert!(!cmp("recompute.knapsack.cells", 5000.0, 5000.0));
+        assert!(!cmp("partition.alg1.states", 828.0, 828.0));
+        assert!(!cmp("partition.leaf_evals", 179.0, 179.0));
+        assert!(!is_work_counter("recompute.knapsack.timed_calls"));
+        assert!(!is_work_counter("partition.iso_cache.hits"));
+    }
+
+    #[test]
+    fn rates_and_times_keep_the_relative_rule() {
+        let cmp = |id: &str, base: f64, new: f64| {
+            MetricDiff::compare("BENCH_a.json", id, base, new, direction_of(id))
+                .map(|d| d.is_regression(REGRESSION_THRESHOLD))
+        };
+        assert_eq!(cmp("bench.serve_load.miss.rps", 800.0, 648.0), Some(false));
+        assert_eq!(cmp("bench.serve_load.miss.rps", 800.0, 632.0), Some(true));
+        assert_eq!(cmp("bench.oracle.sweep.ms", 2.0, 2.38), Some(false));
+        assert_eq!(cmp("bench.oracle.sweep.ms", 0.0, 2.0), None, "undefined");
     }
 }

@@ -8,7 +8,8 @@
 //!   stays dependency-free and fast, at the cost of only catching the
 //!   idioms it was written for.
 //! * `bench-diff` — compares two directories of `BENCH_*.json` bench
-//!   artifacts and fails on >20% regression of any named metric (see
+//!   artifacts and fails when a deterministic work counter changes at
+//!   all or a rate or time regresses by >20% (see
 //!   `docs/observability.md`).
 
 use xtask::{bench_diff, lint};
@@ -23,7 +24,8 @@ tasks:
   lint                              run the workspace source-level lint pass
                                     (see docs/static-analysis.md)
   bench-diff <baseline-dir> <new>   compare BENCH_*.json artifacts; exits
-                                    non-zero on >20% regression of a metric
+                                    non-zero when a work counter changes or a
+                                    rate or time regresses >20%
 ";
 
 fn main() -> ExitCode {
@@ -74,13 +76,18 @@ fn bench_diff_task(baseline: &Path, new: &Path) -> ExitCode {
     let regressions = report.regressions(bench_diff::REGRESSION_THRESHOLD);
     if regressions.is_empty() {
         println!(
-            "bench-diff: ok — {} metric(s) compared, none regressed >{:.0}%",
+            "bench-diff: ok — {} metric(s) compared, no work counter changed, \
+             no rate or time regressed >{:.0}%",
             report.diffs.len(),
             bench_diff::REGRESSION_THRESHOLD * 100.0
         );
         return ExitCode::SUCCESS;
     }
-    println!("\nbench-diff: {} regression(s) >20%:", regressions.len());
+    println!(
+        "\nbench-diff: {} regression(s) (changed work counters, rates or times >{:.0}% worse):",
+        regressions.len(),
+        bench_diff::REGRESSION_THRESHOLD * 100.0
+    );
     for d in regressions {
         println!("  REGRESSED {d}");
     }
