@@ -4,16 +4,20 @@
 //! The paper's workflow (profile once, search in seconds, reuse across
 //! jobs) makes the planner a natural service; what the service adds is
 //! *result reuse*. This load test drives an in-process `adapipe-serve`
-//! daemon over real loopback HTTP and measures two regimes: cold misses
-//! (a full search per request; they differ only in global batch, so the
+//! daemon over real loopback HTTP and measures two regimes: misses (a
+//! full search per request; they differ only in global batch, so the
 //! first fills the instance's §5.3 class table and the run asserts the
 //! whole flood solves exactly as many knapsacks as that first plan) and
 //! cache hits on the golden GPT-2 config (digest lookup + byte-identical
-//! replay). Hits must return in under a millisecond at the median; the
-//! hit/miss throughput gap shrinks as the shared table speeds the
-//! misses themselves, so the gate on the ratio is loose and the real
-//! regression fence is `xtask bench-diff` on the absolute miss/hit
-//! rates in the emitted artifact.
+//! replay). The first plan is timed on its own
+//! (`bench.serve_load.first_plan.us`), and the miss rate
+//! (`bench.serve_load.miss.rps`) covers only the warm misses after it,
+//! enough of them to fill a window of 100 ms or more: over a handful
+//! of misses, the one cold plan set the rate. Hits must return in under
+//! a millisecond at the median; the hit/miss throughput gap shrinks as
+//! the shared table speeds the misses themselves, so the gate on the
+//! ratio is loose and the real regression fence is `xtask bench-diff`
+//! on the absolute miss/hit rates in the emitted artifact.
 
 use adapipe_bench::{emit_bench_json, print_table};
 use adapipe_obs::{keys, Recorder};
@@ -32,7 +36,10 @@ fn golden() -> PlanRequest {
 }
 
 fn main() {
-    const MISSES: usize = 8;
+    // A warm miss takes ~1 ms on a 2-core VM, so 256 of them fill
+    // ~250 ms. The count is fixed, not timed, because the artifact's
+    // work counters are compared exactly.
+    const WARM_MISSES: usize = 256;
     const HIT_THREADS: usize = 4;
     const HITS_PER_THREAD: usize = 100;
 
@@ -49,21 +56,30 @@ fn main() {
     .expect("bind an ephemeral port");
     let addr = server.addr().to_string();
 
-    // Cold regime: distinct digests, every request runs the full
-    // search. Sequential, so the measured rate is per-worker.
-    let knapsack_calls = || rec.snapshot().counters.get(keys::KNAPSACK_CALLS).copied();
-    let mut first_plan_calls = None;
-    let miss_start = Instant::now();
-    for i in 0..MISSES {
-        let mut req = golden();
-        req.global_batch = 32 * (i + 2); // gbs 32 itself is the golden entry, seeded below
+    // Miss regime: distinct digests, every request runs the full
+    // search. Sequential, so the measured rate is per-worker. Global
+    // batch 32 itself is the golden entry, seeded below; the misses
+    // keep n within 64..=320.
+    let miss = |global_batch: usize| {
+        let req = PlanRequest {
+            global_batch,
+            ..golden()
+        };
         let resp = client::post_plan(&addr, &req.to_wire_text()).expect("daemon reachable");
-        assert_eq!(resp.status, 200, "cold plan failed: {}", resp.body);
+        assert_eq!(resp.status, 200, "miss failed: {}", resp.body);
         assert_eq!(resp.header("x-adapipe-cache"), Some("miss"));
-        first_plan_calls = first_plan_calls.or_else(knapsack_calls);
+    };
+    let knapsack_calls = || rec.snapshot().counters.get(keys::KNAPSACK_CALLS).copied();
+    let first_start = Instant::now();
+    miss(64);
+    let first_plan_us = first_start.elapsed().as_secs_f64() * 1e6;
+    let first_plan_calls = knapsack_calls();
+    let miss_start = Instant::now();
+    for global_batch in (65..).take(WARM_MISSES) {
+        miss(global_batch);
     }
     let miss_wall = miss_start.elapsed().as_secs_f64();
-    let miss_rps = MISSES as f64 / miss_wall;
+    let miss_rps = WARM_MISSES as f64 / miss_wall;
 
     // Seed the golden entry and keep its cold bytes for the identity
     // check.
@@ -110,10 +126,10 @@ fn main() {
     let p99 = latencies_us[latencies_us.len() * 99 / 100];
     let speedup = hit_rps / miss_rps;
 
-    // Percentiles stay in the `bench.serve_load.hit.us` histogram only:
-    // gauges feed the `xtask bench-diff` 20% gate, and single-run tail
-    // latencies are far too noisy to gate (throughput and the hit/miss
-    // ratio are the tracked metrics).
+    // Percentiles and the first plan stay in histograms only: gauges
+    // feed the `xtask bench-diff` 20% gate, and single-run tail
+    // latencies and one cold plan are far too noisy to gate (throughput
+    // and the hit/miss ratio are the tracked metrics).
     for (key, value) in [
         ("bench.serve_load.miss.rps", miss_rps),
         ("bench.serve_load.hit.rps", hit_rps),
@@ -124,14 +140,21 @@ fn main() {
     for us in &latencies_us {
         rec.observe(keys::BENCH_SERVE_LOAD_HIT_US, *us);
     }
+    rec.observe(keys::BENCH_SERVE_LOAD_FIRST_PLAN_US, first_plan_us);
 
     print_table(
         "Planner-as-a-service throughput — GPT-2 golden config, 4 workers",
         &["regime", "requests", "req/s", "p50 (us)"],
         &[
             vec![
-                "cold (full search)".to_string(),
-                format!("{MISSES}"),
+                "first plan (fills the class table)".to_string(),
+                "1".to_string(),
+                format!("{:.1}", 1e6 / first_plan_us),
+                "-".to_string(),
+            ],
+            vec![
+                "warm miss (full search)".to_string(),
+                format!("{WARM_MISSES}"),
                 format!("{miss_rps:.1}"),
                 "-".to_string(),
             ],
@@ -144,11 +167,12 @@ fn main() {
         ],
     );
     println!(
-        "\nhit/miss throughput = {speedup:.1}x (hit p99 {p99:.0}us); every hit\n\
+        "\nwarm-miss window {:.0} ms; hit/miss throughput = {speedup:.1}x (hit p99 {p99:.0}us); every hit\n\
          byte-identical to the cold plan. Expected shape: p50 under 1 ms. The plan\n\
          cache turns a full Algorithm 1 search into a digest lookup, while the shared\n\
          class table speeds the misses themselves (no knapsack leaf after the first\n\
-         plan of the instance), narrowing the ratio."
+         plan of the instance), narrowing the ratio.",
+        miss_wall * 1e3
     );
 
     // Fold the engine gauges (exec pool, shared class tables) into the

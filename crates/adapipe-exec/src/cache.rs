@@ -7,9 +7,10 @@
 //!
 //! One mutex guards the map. Every lookup and insert stamps its entry
 //! with the next value of one monotone tick, so no two entries share a
-//! tick and eviction — a linear scan for the smallest — is exact and
-//! deterministic: a cache of capacity `c` that has seen more than `c`
-//! keys holds exactly the `c` most recently used. The cache keeps
+//! tick, and a tick-ordered index names the oldest entry. Eviction pops
+//! it in O(log n) and is exact and deterministic: a cache of capacity
+//! `c` that has seen more than `c` keys holds exactly the `c` most
+//! recently used. The cache keeps
 //! exact hit/miss/eviction counters plus approximate byte accounting
 //! for the `subcache.*` gauges. Values are handed out as `Arc` clones:
 //! a hit never copies the cached payload and eviction never
@@ -17,7 +18,7 @@
 
 use crate::stats::CacheStats;
 use std::borrow::Borrow;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -35,6 +36,8 @@ struct Entry<V: ?Sized> {
 #[derive(Debug)]
 struct Inner<K, V: ?Sized> {
     entries: HashMap<K, Entry<V>>,
+    /// Each entry's key under its `last_used` tick, oldest first.
+    recency: BTreeMap<u64, K>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -57,6 +60,7 @@ impl<K: Eq + Hash + Clone, V: ?Sized> LruCache<K, V> {
             capacity: capacity.max(1),
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
+                recency: BTreeMap::new(),
                 tick: 0,
                 hits: 0,
                 misses: 0,
@@ -111,17 +115,19 @@ impl<K: Eq + Hash + Clone, V: ?Sized> LruCache<K, V> {
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
-        let tick = inner.tick;
         let Some(entry) = inner.entries.get_mut(key) else {
             inner.misses += 1;
             return None;
         };
-        entry.last_used = tick;
-        let value = Arc::clone(&entry.value);
+        let last_used = std::mem::replace(&mut entry.last_used, inner.tick);
+        if let Some(k) = inner.recency.remove(&last_used) {
+            inner.recency.insert(inner.tick, k);
+        }
         inner.hits += 1;
-        Some(value)
+        Some(Arc::clone(&entry.value))
     }
 
     /// Inserts (or refreshes) `key` as the most recently used entry,
@@ -130,7 +136,8 @@ impl<K: Eq + Hash + Clone, V: ?Sized> LruCache<K, V> {
     /// or 1). An `Arc` value is stored as is, so later hits share the
     /// caller's allocation.
     pub fn insert(&self, key: K, value: impl Into<Arc<V>>, approx_bytes: u64) -> usize {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         inner.tick += 1;
         let entry = Entry {
             value: value.into(),
@@ -138,19 +145,20 @@ impl<K: Eq + Hash + Clone, V: ?Sized> LruCache<K, V> {
             last_used: inner.tick,
         };
         inner.bytes += approx_bytes;
+        inner.recency.insert(inner.tick, key.clone());
         if let Some(old) = inner.entries.insert(key, entry) {
+            inner.recency.remove(&old.last_used);
             inner.bytes -= old.bytes;
             return 0;
         }
         if inner.entries.len() <= self.capacity {
             return 0;
         }
-        let oldest = inner
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone());
-        let Some(old) = oldest.and_then(|k| inner.entries.remove(&k)) else {
+        let Some(old) = inner
+            .recency
+            .pop_first()
+            .and_then(|(_, k)| inner.entries.remove(&k))
+        else {
             return 0;
         };
         inner.bytes -= old.bytes;
@@ -297,6 +305,21 @@ mod tests {
         assert_eq!((cache.len(), cache.evictions()), (64, 200 - 64));
         for i in 0..200 {
             assert_eq!(cache.get(&key(i)).is_some(), newest.contains(&i), "key {i}");
+        }
+    }
+
+    #[test]
+    fn recency_index_tracks_every_entry_once() {
+        let cache = LruCache::new(8);
+        for i in 0..100u64 {
+            cache.insert(key(i % 13), i, 1);
+            let _hit = cache.get(&key(i % 5));
+            let inner = cache.lock();
+            assert_eq!(inner.recency.len(), inner.entries.len(), "step {i}");
+            assert!(inner
+                .recency
+                .iter()
+                .all(|(tick, k)| inner.entries[k].last_used == *tick));
         }
     }
 

@@ -200,6 +200,9 @@ pub const CERT_GAP_PCT: &str = "certificate.gap.pct";
 pub const BENCH_WALL_S: &str = "bench.wall_s";
 /// Serve-load bench per-hit latency (histogram, µs).
 pub const BENCH_SERVE_LOAD_HIT_US: &str = "bench.serve_load.hit.us";
+/// Serve-load bench latency of the first plan, which fills the class
+/// table (histogram, µs).
+pub const BENCH_SERVE_LOAD_FIRST_PLAN_US: &str = "bench.serve_load.first_plan.us";
 
 // ---- span names ----------------------------------------------------
 

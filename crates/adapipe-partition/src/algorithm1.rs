@@ -1,13 +1,17 @@
 //! Algorithm 1 of the paper: the partitioning dynamic program.
 //!
 //! `P[s, i]` is the best plan for assigning layers `i..` to stages
-//! `s..p−1`. The DP sweeps stages from `p−2` down to `0`, trying every
-//! split point `j` for stage `s`'s window `i..=j`, and combines the
-//! Equation (3) recurrences with the knapsack-optimized `f[s,i,j]` and
-//! `b[s,i,j]` supplied by a [`StageCostProvider`].
+//! `s..p−1`. The DP sweeps stages from `p−2` down to `0`, trying split
+//! points `j` for stage `s`'s window `i..=j` in increasing order, and
+//! combines the Equation (3) recurrences with the knapsack-optimized
+//! `f[s,i,j]` and `b[s,i,j]` supplied by a [`StageCostProvider`].
 //!
-//! Infeasible windows (`None` from the provider) simply contribute no
-//! candidate; if no feasible plan reaches `P[0, 0]`, the whole
+//! The split loop ends early on the two laws of the provider contract:
+//! at the first infeasible window (`None` from the provider), since no
+//! longer window fits either, and once `n·(f + b)` of the window exceeds
+//! the best objective so far, since every candidate's objective is at
+//! least that and `f + b` never shrinks as `j` grows. Neither exit
+//! changes the plan. If no feasible plan reaches `P[0, 0]`, the whole
 //! configuration is out of memory.
 
 // The DP sweeps below keep the paper's index notation (P[s, i], splits j).
@@ -39,6 +43,12 @@ impl PartitionPlan {
         self.breakdown.total()
     }
 }
+
+/// Relative slack of the lower-bound exit: a split loop ends only once
+/// `n·(f + b)` exceeds the best objective by more than this, far above
+/// the few ulps by which the f64 sums of `t` can undershoot their exact
+/// value.
+const BOUND_MARGIN: f64 = 1e-12;
 
 /// One DP state: the best continuation from `(stage, first_layer)`.
 #[derive(Debug, Clone, Copy)]
@@ -127,13 +137,24 @@ pub fn solve_traced(
             // Stage s takes layers i..=j; the tail needs p-1-s layers.
             for j in i..=(l - remaining) {
                 candidates += 1;
+                // A missing tail is not monotone in j: a longer window
+                // may leave a feasible tail.
                 let Some(next) = table[s + 1][j + 1] else {
                     continue;
                 };
                 let range = LayerRange::new(i, j);
+                // Infeasibility is monotone in j (the provider contract):
+                // no longer window fits either.
                 let Some(times) = provider.stage_times(s, range) else {
-                    continue;
+                    break;
                 };
+                // Every candidate from j on has t >= n·(f + b) >= this
+                // window's n·(f + b), so none can beat a best below it.
+                // The margin absorbs the rounding of t's f64 sums.
+                let floor = convert::count_f64(n) * (times.f + times.b);
+                if best.is_some_and(|cur| floor > cur.t.time() * (1.0 + BOUND_MARGIN)) {
+                    break;
+                }
                 let ahead = convert::count_f64(p - s - 1);
                 let w = times.f + (next.w + next.b).max(ahead * times.f);
                 let e = times.b + (next.e + next.f).max(ahead * times.b);
@@ -193,10 +214,12 @@ pub fn solve_traced(
 /// the serial DP sweep; the DP then answers every `stage_times` query
 /// from the warm cache.
 ///
-/// The sweep over-approximates slightly: the DP skips a window when the
-/// tail `P[s+1][j+1]` is already known infeasible, while this
-/// enumeration cannot know that. Extra windows only cost extra cached
-/// leaves — the returned plan is unaffected.
+/// The sweep over-approximates: the DP skips a window when the tail
+/// `P[s+1][j+1]` is already known infeasible, and its split loop ends at
+/// the first out-of-memory window and once the `n·(f + b)` bound passes
+/// the best split, while this enumeration knows none of that (the bound
+/// depends on `n`, and a table is shared across `n`). Extra windows only
+/// cost extra cached leaves — the returned plan is unaffected.
 ///
 /// # Panics
 ///
@@ -270,6 +293,22 @@ mod tests {
         }
     }
 
+    /// [`Synthetic`] costs under a memory cap: stage `s` holds at most
+    /// `caps[s]` layers, as a tighter budget on an earlier stage gives.
+    struct CappedWeights {
+        inner: Synthetic,
+        caps: Vec<usize>,
+    }
+
+    impl StageCostProvider for CappedWeights {
+        fn stage_times(&self, stage: usize, range: LayerRange) -> Option<StageTimes> {
+            if range.len() > self.caps[stage] {
+                return None;
+            }
+            self.inner.stage_times(stage, range)
+        }
+    }
+
     /// Exhaustive search over all partitions for small instances.
     fn exhaustive_best(provider: &impl StageCostProvider, l: usize, p: usize, n: usize) -> f64 {
         crate::exhaustive::solve(provider, l, p, n)
@@ -313,7 +352,62 @@ mod tests {
                 "l={l} p={p} n={n}: dp {} vs exhaustive {best}",
                 plan.iteration_time()
             );
+            // Capped instances end split loops at the out-of-memory
+            // exit as well as the bound; some leave no feasible plan.
+            for slack in 0..p {
+                let caps = (0..p).map(|s| l / p + (s + slack) / 2).collect();
+                let capped = CappedWeights {
+                    inner: Synthetic {
+                        weights: provider.weights.clone(),
+                    },
+                    caps,
+                };
+                let dp = solve_traced(&capped, l, p, n, &Recorder::disabled())
+                    .map_or(f64::INFINITY, |plan| plan.iteration_time().as_micros());
+                let best = exhaustive_best(&capped, l, p, n);
+                assert!(
+                    dp == best || (dp - best).abs() < 1e-9,
+                    "l={l} p={p} n={n} slack {slack}: dp {dp} vs exhaustive {best}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn both_exits_end_the_split_loop_early() {
+        let queries = |provider: &dyn StageCostProvider, l: usize, p: usize| {
+            let rec = Recording {
+                inner: provider,
+                seen: std::sync::Mutex::new(Vec::new()),
+            };
+            let plan = solve_traced(&rec, l, p, 4 * p, &Recorder::disabled());
+            let seen = rec.seen.into_inner().unwrap();
+            (plan, seen)
+        };
+        // Uniform layers: every split past an even share loses to the
+        // bound, so the DP asks for fewer windows than it can reach.
+        let uniform = Synthetic {
+            weights: vec![1.0; 12],
+        };
+        let (plan, seen) = queries(&uniform, 12, 4);
+        assert!(plan.is_some());
+        assert!(
+            seen.len() < reachable_windows(12, 4).len(),
+            "{}",
+            seen.len()
+        );
+        // Stage 0 holds one layer: its loop from layer 0 stops at the
+        // first window that does not fit, two queries in.
+        let (plan, seen) = queries(&Capped { cap: 1 }, 8, 4);
+        assert_eq!(plan.map(|plan| plan.ranges[0].len()), Some(1));
+        let from_0: Vec<_> = seen
+            .iter()
+            .filter(|(s, r)| *s == 0 && r.first == 0)
+            .collect();
+        assert_eq!(
+            from_0,
+            [&(0, LayerRange::new(0, 0)), &(0, LayerRange::new(0, 1))]
+        );
     }
 
     #[test]
@@ -394,7 +488,7 @@ mod tests {
 
     /// Records every query a wrapped provider receives.
     struct Recording<'a> {
-        inner: &'a Synthetic,
+        inner: &'a dyn StageCostProvider,
         seen: std::sync::Mutex<Vec<(usize, LayerRange)>>,
     }
 

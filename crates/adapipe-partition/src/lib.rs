@@ -30,7 +30,9 @@
 //! * **Shared class tables** — [`subcache`] keeps the filled class
 //!   table of a planning instance process-wide, keyed by one digest of
 //!   everything a leaf reads, so the daemon's plans of one instance
-//!   that differ only in global batch run no knapsack leaf.
+//!   that differ only in global batch run no knapsack leaf, and no
+//!   prefill scan once [`KnapsackCostProvider::sweep`] has swept the
+//!   table.
 //!
 //! # Example
 //!

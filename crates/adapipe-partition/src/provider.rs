@@ -24,7 +24,7 @@ use adapipe_recompute::{
 use adapipe_units::{convert, Bytes, MicroSecs};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Source of the `f[s,i,j]` / `b[s,i,j]` arrays consumed by Algorithm 1.
@@ -32,6 +32,25 @@ use std::sync::{Arc, OnceLock};
 /// Returning `None` marks the assignment infeasible (the stage cannot fit
 /// even under full recomputation), which Algorithm 1 propagates into OOM
 /// verdicts for whole configurations.
+///
+/// # Contract
+///
+/// At a fixed stage `s` and first layer `i`, as the last layer `j`
+/// grows:
+///
+/// * **infeasibility is monotone**: once `[i..=j]` is `None`, so is
+///   every longer window — it pins more bytes and gets a smaller
+///   activation budget;
+/// * **`f + b` never decreases**: `F` is a sum of per-layer forward
+///   times, and an added layer raises the time the knapsack saves by at
+///   most its own forward time, so `B` grows by at least the layer's
+///   backward time.
+///
+/// [`algorithm1::solve_traced`](crate::algorithm1::solve_traced) ends its
+/// split loop on both: at the first infeasible window, and once
+/// `n·(f + b)` — a lower bound on every later candidate's objective —
+/// exceeds the best objective so far. A provider that breaks either law
+/// can lose the optimal split.
 pub trait StageCostProvider {
     /// Optimized forward/backward times for assigning the layers of
     /// `range` to pipeline stage `stage`, or `None` if infeasible.
@@ -141,11 +160,19 @@ fn iso_class(seq: &LayerSeq, range: LayerRange) -> Option<usize> {
 /// daemon's peak RSS from ~17.7 to 19–22 MB (allocator fragmentation;
 /// `perfbench` `serve-paper-miss` on a 2-core host), and allocated on
 /// first use it leaves it at ~17.7 MB.
+///
+/// A table serves exactly one `(L, p)`, so once a prefill over
+/// [`algorithm1::reachable_windows`](crate::algorithm1::reachable_windows)
+/// has returned, every slot Algorithm 1 can query is filled (but for a
+/// lone empty class, which prefill leaves to the DP) and the table is
+/// *swept*: a later prefill would scan ~120k windows only to find that
+/// ([`KnapsackCostProvider::sweep`]).
 #[derive(Debug)]
 pub(crate) struct ClassTable {
     layers: usize,
     stages: usize,
     slots: OnceLock<(Vec<Slot>, Vec<OnceLock<Chosen>>)>,
+    swept: AtomicBool,
 }
 
 impl ClassTable {
@@ -155,6 +182,7 @@ impl ClassTable {
             layers,
             stages,
             slots: OnceLock::new(),
+            swept: AtomicBool::new(false),
         }
     }
 
@@ -282,7 +310,10 @@ impl<'a> KnapsackCostProvider<'a> {
     }
 
     /// Attaches an observability recorder. The provider reports
-    /// `partition.iso_cache.{hits,misses}`, `partition.leaf_evals`,
+    /// `partition.iso_cache.{hits,misses}` (the
+    /// [`KnapsackCostProvider::cache_stats`] totals, published once when
+    /// the provider is dropped: counted per query, they took the
+    /// recorder's lock on every DP lookup), `partition.leaf_evals`,
     /// `subcache.{hits,misses}` (see
     /// [`KnapsackCostProvider::materialize_stage`]) and per-leaf timing
     /// (`partition.leaf.us`), and forwards the recorder into the
@@ -465,9 +496,45 @@ impl<'a> KnapsackCostProvider<'a> {
         })?;
         self.misses
             .fetch_add(convert::usize_u64(reps.len()), Ordering::Relaxed);
-        self.rec
-            .add(keys::ISO_CACHE_MISSES, convert::usize_u64(reps.len()));
         Ok(reps.len())
+    }
+
+    /// Whether the class table is swept: a [`KnapsackCostProvider::sweep`]
+    /// has already filled every slot Algorithm 1 can query, here or in
+    /// an earlier provider of the same shared table.
+    #[must_use]
+    pub fn is_swept(&self) -> bool {
+        self.classes.swept.load(Ordering::Acquire)
+    }
+
+    /// [`KnapsackCostProvider::prefill`] over every window
+    /// [`algorithm1::solve_traced`](crate::algorithm1::solve_traced) can
+    /// query for this provider's instance
+    /// ([`algorithm1::reachable_windows`](crate::algorithm1::reachable_windows)),
+    /// which marks the class table swept once it returns `Ok`. Check
+    /// [`KnapsackCostProvider::is_swept`] first: a swept table needs no
+    /// second scan. A no-op (0 computed, table not swept) on a pool of
+    /// one worker, like `prefill`.
+    ///
+    /// # Errors
+    ///
+    /// As [`KnapsackCostProvider::prefill`].
+    ///
+    /// # Panics
+    ///
+    /// On a pool of two or more workers, panics if the pipeline has
+    /// more stages than the sequence has layers, as
+    /// [`algorithm1::reachable_windows`](crate::algorithm1::reachable_windows) does.
+    pub fn sweep(&self, pool: &ExecPool) -> Result<usize, ExecError> {
+        if pool.threads() < 2 {
+            return Ok(0);
+        }
+        let windows = crate::algorithm1::reachable_windows(self.seq.len(), self.classes.stages);
+        let computed = self.prefill(pool, &windows)?;
+        // `pool.map` has joined every slot store; this Release pairs
+        // with the Acquire in `is_swept`.
+        self.classes.swept.store(true, Ordering::Release);
+        Ok(computed)
     }
 
     fn compute(&self, stage: usize, range: LayerRange) -> Option<OptimizedStage> {
@@ -487,16 +554,30 @@ impl StageCostProvider for KnapsackCostProvider<'_> {
         let slot = self.classes.index(self.seq, stage, range);
         if let Some(cached) = slot.and_then(|slot| self.classes.get(slot)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            self.rec.incr(keys::ISO_CACHE_HITS);
             return cached;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        self.rec.incr(keys::ISO_CACHE_MISSES);
         let leaf = self.compute(stage, range);
         if let Some(slot) = slot {
             self.classes.set(slot, range.first, leaf.as_ref());
         }
         leaf.map(|opt| StageTimes::from(&opt.cost))
+    }
+}
+
+impl Drop for KnapsackCostProvider<'_> {
+    /// Publishes the provider's isomorphism-cache totals, so a snapshot
+    /// taken after a plan reads what per-query counting would have left.
+    fn drop(&mut self) {
+        let CacheStats { hits, misses } = self.cache_stats();
+        for (key, total) in [
+            (keys::ISO_CACHE_HITS, hits),
+            (keys::ISO_CACHE_MISSES, misses),
+        ] {
+            if total > 0 {
+                self.rec.add(key, total);
+            }
+        }
     }
 }
 
@@ -635,6 +716,159 @@ mod tests {
         let seq = LayerSeq::for_model(&model);
         let mem = MemoryModel::new(model, parallel, OptimizerSpec::adam_fp32());
         Fixture { seq, table, mem }
+    }
+
+    /// Checks the [`StageCostProvider`] contract at every `(stage, first
+    /// layer)` of an instance: as the last layer grows, no window is
+    /// feasible after an infeasible one, and `f + b` (summed as
+    /// Algorithm 1 sums it) never decreases. Returns how many windows
+    /// were feasible and how many were not.
+    fn check_contract(
+        p: &KnapsackCostProvider<'_>,
+        stages: usize,
+    ) -> Result<(usize, usize), String> {
+        let l = p.seq.len();
+        let (mut feasible, mut infeasible) = (0, 0);
+        for stage in 0..stages {
+            for first in 0..l {
+                let mut prev: Option<StageTimes> = None;
+                let mut oom = false;
+                for last in first..l {
+                    let r = LayerRange::new(first, last);
+                    match p.stage_times(stage, r) {
+                        None => {
+                            oom = true;
+                            infeasible += 1;
+                        }
+                        Some(_) if oom => {
+                            return Err(format!("stage {stage} {r}: fits after a shorter OOM"));
+                        }
+                        Some(t) => {
+                            if let Some(a) = prev.filter(|a| t.f + t.b < a.f + a.b) {
+                                return Err(format!(
+                                    "stage {stage} {r}: f + b fell {a:?} -> {t:?}"
+                                ));
+                            }
+                            prev = Some(t);
+                            feasible += 1;
+                        }
+                    }
+                }
+            }
+        }
+        Ok((feasible, infeasible))
+    }
+
+    /// `fx`'s table with every unit's saved size scaled by `factor` and
+    /// made odd, so the GCD of the knapsack items is 1 and a budget of
+    /// more than 2^20 bytes is re-bucketed onto a coarser axis.
+    fn odd_sizes(fx: &Fixture, factor: u64) -> ProfileTable {
+        let per_layer = (0..fx.table.num_layers())
+            .map(|l| {
+                let mut units = fx.table.layer_units(l).to_vec();
+                for u in &mut units {
+                    u.mem_saved = Bytes::new((u.mem_saved.get() * factor) | 1);
+                }
+                units
+            })
+            .collect();
+        ProfileTable::from_measurements(per_layer, fx.table.boundary_bytes()).unwrap()
+    }
+
+    #[test]
+    fn contract_holds_on_every_stage_of_the_presets() {
+        let cases = [
+            (
+                presets::gpt2_small(),
+                ParallelConfig::new(2, 4, 1).unwrap(),
+                1024,
+            ),
+            (
+                presets::tiny_gpt(),
+                ParallelConfig::new(1, 2, 1).unwrap(),
+                128,
+            ),
+            (
+                presets::tiny_llama(),
+                ParallelConfig::new(1, 4, 1).unwrap(),
+                256,
+            ),
+            (
+                presets::bert_large(),
+                ParallelConfig::new(4, 4, 1).unwrap(),
+                512,
+            ),
+        ];
+        for (model, parallel, seq_len) in cases {
+            let name = model.name().to_string();
+            let p = parallel.pipeline();
+            let fx = fixture(model, parallel, seq_len);
+            // Shrink the device until half the windows no longer fit,
+            // so the out-of-memory frontier crosses every stage.
+            let all = LayerRange::new(0, fx.seq.len() - 1);
+            let whole = fx.mem.static_bytes(&fx.seq, all);
+            for capacity in [whole / 4, whole / 2, whole, whole * 2, Bytes::from_gib(80)] {
+                let provider = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, capacity);
+                let verdict = check_contract(&provider, p);
+                assert!(verdict.is_ok(), "{name} at {capacity}: {verdict:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn contract_holds_on_the_rebucketed_axis() {
+        let fx = fixture(
+            presets::tiny_gpt(),
+            ParallelConfig::new(1, 2, 1).unwrap(),
+            128,
+        );
+        let table = odd_sizes(&fx, 8);
+        let all = LayerRange::new(0, fx.seq.len() - 1);
+        let saved: Bytes = table.units_in(all).iter().map(|u| u.mem_saved).sum();
+        let rec = Recorder::new();
+        // Stage 0's two live micro-batches share about a quarter of the
+        // saved bytes: long windows run out of memory, and the budgets
+        // of the others span more than 2^20 bytes.
+        let capacity = fx.mem.static_bytes(&fx.seq, all).saturating_add(saved / 4);
+        let provider = KnapsackCostProvider::new(&fx.seq, &table, &fx.mem, capacity)
+            .with_recorder(rec.clone());
+        // Stage 0 is the only stage Algorithm 1's split loop runs on.
+        let (feasible, infeasible) = check_contract(&provider, 1).unwrap();
+        assert!(feasible > 0 && infeasible > 0, "{feasible} {infeasible}");
+        let rebuckets = rec
+            .snapshot()
+            .counters
+            .get(keys::KNAPSACK_REBUCKETS)
+            .copied();
+        assert!(rebuckets.is_some_and(|r| r > 0), "{rebuckets:?}");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+        /// Random capacities across the out-of-memory frontier, on the
+        /// analytic table and a jittered one (`Profiler::with_noise`).
+        #[test]
+        fn contract_holds_on_random_budgets_and_jittered_tables(
+            jittered in proptest::bool::ANY,
+            budget_permille in 50u64..4000,
+            seed in 0u64..1000,
+            amplitude in 0.001f64..0.05,
+        ) {
+            let model = presets::gpt2_small();
+            let parallel = ParallelConfig::new(2, 4, 1).unwrap();
+            let mut fx = fixture(model.clone(), parallel, 512);
+            if jittered {
+                let train = TrainConfig::new(1, 512, 16 * parallel.data()).unwrap();
+                fx.table = Profiler::new(hw::cluster_a())
+                    .with_noise(adapipe_profiler::NoiseConfig { amplitude, seed })
+                    .profile(&model, &parallel, &train);
+            }
+            let all = LayerRange::new(0, fx.seq.len() - 1);
+            let capacity = fx.mem.static_bytes(&fx.seq, all) * budget_permille / 1000;
+            let provider = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, capacity);
+            let verdict = check_contract(&provider, parallel.pipeline());
+            proptest::prop_assert!(verdict.is_ok(), "jittered {} at {}: {:?}", jittered, capacity, verdict);
+        }
     }
 
     #[test]
@@ -966,6 +1200,57 @@ mod tests {
         let stats = pooled.cache_stats();
         assert_eq!(stats.misses, convert::usize_u64(computed));
         assert!(stats.hits > 0);
+    }
+
+    #[test]
+    fn sweep_marks_a_shared_table_swept_for_later_providers() {
+        let fx = fixture(
+            presets::gpt2_small(),
+            ParallelConfig::new(2, 4, 1).unwrap(),
+            1024,
+        );
+        let (l, p) = (fx.seq.len(), 4);
+        // A capacity no other test plans at, so the shared table starts
+        // empty.
+        let cap = Bytes::new(Bytes::from_gib(80).get() - 2);
+        let shared = || {
+            KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap).with_shared_class_table()
+        };
+        let first = shared();
+        assert!(!first.is_swept());
+        assert_eq!(first.sweep(&ExecPool::new(1)).unwrap(), 0);
+        assert!(!first.is_swept(), "a single worker fills nothing");
+        assert!(first.sweep(&ExecPool::new(2)).unwrap() > 0);
+        assert!(first.is_swept());
+        // A later provider of the instance sees the flag, and its DP
+        // answers every query from the table.
+        let second = shared();
+        assert!(second.is_swept());
+        let plan = crate::algorithm1::solve_traced(&second, l, p, 16, &Recorder::disabled());
+        assert!(plan.is_some());
+        assert_eq!(second.cache_stats().misses, 0);
+    }
+
+    #[test]
+    fn cache_totals_reach_the_recorder_once_the_provider_drops() {
+        let fx = fixture(
+            presets::gpt2_small(),
+            ParallelConfig::new(2, 4, 1).unwrap(),
+            1024,
+        );
+        let rec = Recorder::new();
+        let provider = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80))
+            .with_recorder(rec.clone());
+        let plan = crate::algorithm1::solve_traced(&provider, fx.seq.len(), 4, 16, &rec);
+        assert!(plan.is_some());
+        let stats = provider.cache_stats();
+        assert!(stats.hits > 0 && stats.misses > 0);
+        let counters = rec.snapshot().counters;
+        assert_eq!(counters.get(keys::ISO_CACHE_HITS), None);
+        drop(provider);
+        let counters = rec.snapshot().counters;
+        assert_eq!(counters.get(keys::ISO_CACHE_HITS), Some(&stats.hits));
+        assert_eq!(counters.get(keys::ISO_CACHE_MISSES), Some(&stats.misses));
     }
 
     #[test]

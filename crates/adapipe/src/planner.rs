@@ -269,17 +269,17 @@ impl Planner {
     /// an attached [`ExecPool`], the isomorphism-class representatives
     /// of every window the DP can query are knapsack-optimized in
     /// parallel first; the serial sweep then runs against the warm cache
-    /// and produces the same bytes it would have produced alone.
+    /// and produces the same bytes it would have produced alone. A class
+    /// table an earlier plan already swept is not scanned again.
     fn plan_adapipe(
         &self,
         ctx: &Context,
         parallel: ParallelConfig,
     ) -> Result<Vec<StagePlan>, PlanError> {
         let provider = self.adaptive_provider(ctx);
-        if let Some(pool) = &self.exec {
+        if let Some(pool) = self.exec.as_ref().filter(|_| !provider.is_swept()) {
             let _span = self.rec.span_cat(keys::SPAN_PLAN_PREFILL, "planner");
-            let windows = algorithm1::reachable_windows(ctx.seq.len(), parallel.pipeline());
-            let computed = provider.prefill(pool, &windows)?;
+            let computed = provider.sweep(pool)?;
             let stats = pool.stats();
             self.rec
                 .gauge(keys::EXEC_POOL_WORKERS, convert::count_f64(pool.threads()));
@@ -611,6 +611,39 @@ mod tests {
             let base = planner.plan(m, parallel, train)?;
             let t = planner.evaluate(&base).iteration_time;
             assert!(ada_t <= t * 1.0001, "{m}: adapipe {ada_t} vs {t}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn a_swept_class_table_is_not_scanned_again() -> Result<(), PlanError> {
+        // A headroom no other test plans at, so the instance's shared
+        // class table starts empty.
+        let planner =
+            || Planner::new(presets::gpt2_small(), hw::cluster_a()).with_search_headroom(0.8125);
+        let rec = Recorder::new();
+        let daemon = planner()
+            .with_shared_subcache(true)
+            .with_exec_pool(Arc::new(ExecPool::new(2)))
+            .with_recorder(rec.clone());
+        let parallel = ParallelConfig::new(2, 4, 1)?;
+        let prefills = || {
+            let spans = rec.snapshot().spans;
+            spans
+                .iter()
+                .filter(|s| s.name == keys::SPAN_PLAN_PREFILL)
+                .count()
+        };
+        // Only the first plan of the instance scans the windows.
+        for global_batch in [32, 64, 96] {
+            let train = TrainConfig::new(1, 1024, global_batch)?;
+            let plan = daemon.plan(Method::AdaPipe, parallel, train)?;
+            assert_eq!(prefills(), 1, "global batch {global_batch}");
+            let fresh = planner().plan(Method::AdaPipe, parallel, train)?;
+            assert_eq!(
+                crate::plan_io::to_text(&plan),
+                crate::plan_io::to_text(&fresh)
+            );
         }
         Ok(())
     }
