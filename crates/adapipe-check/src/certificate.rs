@@ -30,7 +30,11 @@
 //! owns the artifact (the `adapipe-certificate v1` text format) and the
 //! checker so a certificate can be audited with no planner in sight.
 
-// lint: allow-file(swallowed-result): fmt::Write into a String cannot fail
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
+
 use crate::diag::{CheckCode, Diagnostic};
 use crate::invariants::approx_eq;
 use adapipe_units::{convert, MicroSecs};

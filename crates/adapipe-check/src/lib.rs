@@ -27,6 +27,10 @@
 //! error — they searched under that very constraint.
 
 #![forbid(unsafe_code)]
+// A bare `as` cast silently truncates, wraps or rounds, and every cost
+// here feeds Eq. (1)-(3): convert through `adapipe_units::convert`
+// (each helper states its rounding) or `try_from`.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 
 pub mod certificate;
 pub mod diag;

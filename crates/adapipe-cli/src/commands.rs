@@ -82,7 +82,7 @@ impl ObsSink {
         if let Some(stats) = self.iso_cache_stats() {
             self.rec.gauge(keys::ISO_CACHE_HIT_RATE, stats.hit_rate());
         }
-        // lint: allow(swallowed-result): None only means no plan was materialized
+        // None only means no plan was materialized.
         let _sub = keys::publish_subcache_hit_rate(&self.rec);
         let snap = self.rec.snapshot();
         if let Some(path) = &self.metrics_out {
@@ -569,7 +569,7 @@ pub fn serve(mut args: Args) -> Result<String, ConfigError> {
     println!("adapipe-serve listening on http://{}", server.addr());
     println!("  workers={workers} cache-capacity={cache_capacity} queue-depth={queue_depth}");
     use std::io::Write as _;
-    // lint: allow(swallowed-result): stdout flush failure cannot be reported anywhere better
+    // A stdout flush failure cannot be reported anywhere better.
     let _flushed = std::io::stdout().flush();
     let summary = server.join();
     Ok(format!(

@@ -169,7 +169,6 @@ pub fn sha256_hex(data: &[u8]) -> String {
     let mut out = String::with_capacity(64);
     for b in sha256(data) {
         // Writing into a String cannot fail.
-        // lint: allow(swallowed-result): fmt::Write into a String cannot fail
         let _w = write!(out, "{b:02x}");
     }
     out

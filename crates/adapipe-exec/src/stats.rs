@@ -43,10 +43,7 @@ impl CacheStats {
         }
         // u64 → f64 may round above 2^53 lookups; the rate is a
         // diagnostic, not a plan input.
-        #[allow(clippy::cast_precision_loss)]
-        {
-            self.hits as f64 / total as f64
-        }
+        self.hits as f64 / total as f64
     }
 }
 

@@ -1,7 +1,11 @@
 //! Model presets used throughout the paper's evaluation and our tests.
-// lint: allow-file(expect): every preset is a fixed literal configuration
-// whose builder invariants are exercised by this module's tests; a failure
-// here is a compile-time-style defect, not a runtime condition.
+
+#![expect(
+    clippy::expect_used,
+    reason = "every preset is a fixed literal configuration whose builder invariants \
+              this module's tests exercise; a failure here is a compile-time-style \
+              defect, not a runtime condition"
+)]
 
 use crate::spec::{FfnKind, ModelSpec};
 

@@ -171,8 +171,11 @@ impl FlightRecorder {
 /// `reason` names the trigger (one of the `flight.*` kind constants or
 /// `manual` for `POST /admin/dump`).
 #[must_use]
+#[expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
 pub fn flight_json(snap: &FlightSnapshot, reason: &str, meta: &[(&str, &str)]) -> String {
-    // lint: allow-file(swallowed-result): fmt::Write into a String cannot fail
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"adapipe-flight/v1\",");
     let _ = writeln!(out, "  \"reason\": \"{}\",", escape_json(reason));

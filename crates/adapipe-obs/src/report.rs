@@ -2,7 +2,11 @@
 //! machine-readable document (the artifact behind `--metrics-out` and
 //! the `results/BENCH_*.json` files).
 
-// lint: allow-file(swallowed-result): fmt::Write into a String cannot fail
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
+
 use crate::recorder::Snapshot;
 use std::fmt::Write as _;
 

@@ -7,7 +7,11 @@
 //! `pid`, `tid` and optional `args` — which both viewers accept
 //! directly.
 
-// lint: allow-file(swallowed-result): fmt::Write into a String cannot fail
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
+
 use crate::recorder::Snapshot;
 use crate::report::{escape_json, json_num};
 use std::fmt::Write as _;

@@ -14,8 +14,10 @@
 //! changes the plan. If no feasible plan reaches `P[0, 0]`, the whole
 //! configuration is out of memory.
 
-// The DP sweeps below keep the paper's index notation (P[s, i], splits j).
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "the DP sweeps below keep the paper's index notation (P[s, i], splits j)"
+)]
 
 use crate::cost::{F1bBreakdown, StageTimes};
 use crate::provider::StageCostProvider;

@@ -38,7 +38,10 @@ pub fn solve(
     best
 }
 
-#[allow(clippy::too_many_arguments)] // recursion carries the full search state
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the recursion carries the full search state"
+)]
 fn recurse(
     provider: &impl StageCostProvider,
     l: usize,

@@ -62,7 +62,7 @@ pub fn request(
     stream.flush()?;
 
     let mut raw = Vec::new();
-    // lint: allow(swallowed-result): a reset after full delivery is routine; parse decides
+    // A reset after full delivery is routine; parse decides.
     let _n = stream.read_to_end(&mut raw);
     parse_response(&raw)
 }

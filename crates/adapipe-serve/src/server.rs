@@ -191,7 +191,6 @@ impl Shared {
         }
         // Wake the acceptor out of `accept` with a no-op connection; if
         // the connect fails the acceptor is already gone.
-        // lint: allow(swallowed-result): best-effort wake of the acceptor
         let _wake = TcpStream::connect(self.addr);
     }
 
@@ -260,7 +259,7 @@ impl Shared {
         let Some(dir) = &self.cfg.flight_dir else {
             return;
         };
-        // lint: allow(swallowed-result): artifact dumps are best-effort
+        // Artifact dumps are best-effort.
         let _made = std::fs::create_dir_all(dir);
         let json = flight::flight_json(
             &self.flight.snapshot(),
@@ -330,12 +329,20 @@ impl Server {
             addr,
             cfg,
         });
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "workers are long-lived daemon threads, not fork-join compute"
+        )]
         let workers = (0..shared.cfg.workers.max(1))
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || worker_loop(&shared, id))
             })
             .collect();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the acceptor is a long-lived daemon thread, not fork-join compute"
+        )]
         let acceptor = {
             let shared = Arc::clone(&shared);
             Some(std::thread::spawn(move || accept_loop(&shared, &listener)))
@@ -370,7 +377,7 @@ impl Server {
     /// embedders that read the recorder directly (e.g. the serve_load
     /// bench artifact) call it once before snapshotting.
     pub fn publish_engine_gauges(&self) {
-        // lint: allow(swallowed-result): None only means "no traffic yet"
+        // None only means "no traffic yet".
         let _sub = keys::publish_subcache_hit_rate(&self.shared.rec);
         publish_engine_gauges(&self.shared);
     }
@@ -393,11 +400,10 @@ impl Server {
         if let Some(acceptor) = self.acceptor.take() {
             // A panicked acceptor already detached its listener; the
             // summary below still reflects everything that was served.
-            // lint: allow(swallowed-result): thread panics surface via metrics, not propagation
             let _joined = acceptor.join();
         }
         for worker in self.workers.drain(..) {
-            // lint: allow(swallowed-result): thread panics surface via metrics, not propagation
+            // Thread panics surface via metrics, not propagation.
             let _joined = worker.join();
         }
         let rec = &self.shared.rec;
@@ -467,7 +473,7 @@ fn accept_loop(shared: &Shared, listener: &TcpListener) {
 /// until the client hangs up, at most [`DRAIN_BYTES`] within
 /// [`DRAIN_TIME`], so a silent or flooding client cannot stall it.
 fn respond_overloaded(mut stream: TcpStream, why: &str) {
-    // lint: allow(swallowed-result): the socket may already be gone; rejection is best-effort
+    // The socket may already be gone; rejection is best-effort.
     let _sent = Response::new(503, format!("overloaded: {why}\n"))
         .with_header("Retry-After", "1")
         .write_to(&mut stream);
@@ -508,9 +514,8 @@ fn handle_job(shared: &Shared, worker: usize, seq: usize, mut job: Job) {
     // span (its start predates every recorder call on this request).
     job.rec
         .record_span(keys::SPAN_SERVE_QUEUE_WAIT, "serve", job.enqueued, t0);
-    // lint: allow(swallowed-result): timeouts are best-effort hardening
+    // Timeouts are best-effort hardening.
     let _rt = job.stream.set_read_timeout(Some(IO_TIMEOUT));
-    // lint: allow(swallowed-result): timeouts are best-effort hardening
     let _wt = job.stream.set_write_timeout(Some(IO_TIMEOUT));
     let response = match http::read_request(&mut job.stream) {
         Ok(request) => route(shared, worker, seq, &request, job.enqueued, &job.rec),
@@ -530,7 +535,7 @@ fn handle_job(shared: &Shared, worker: usize, seq: usize, mut job: Job) {
     // follow-up `GET /metrics` cannot race past them. Spans stay with
     // the request (already parked in the trace store when traced).
     shared.rec.absorb(&job.rec);
-    // lint: allow(swallowed-result): the client may have hung up; nothing to salvage
+    // The client may have hung up; nothing to salvage.
     let _sent = response.write_to(&mut job.stream);
     let busy = shared.busy.fetch_sub(1, Ordering::SeqCst).saturating_sub(1);
     shared.rec.gauge(keys::SERVE_WORKERS_BUSY, busy as f64);
@@ -757,11 +762,9 @@ fn plan_response(
 }
 
 fn metrics_response(shared: &Shared) -> Response {
-    // lint: allow(swallowed-result): None only means "no traffic yet"
+    // None only means "no traffic yet".
     let _iso = keys::publish_iso_cache_hit_rate(&shared.rec);
-    // lint: allow(swallowed-result): None only means "no traffic yet"
     let _hit = keys::publish_serve_cache_hit_rate(&shared.rec);
-    // lint: allow(swallowed-result): None only means "no traffic yet"
     let _sub = keys::publish_subcache_hit_rate(&shared.rec);
     publish_engine_gauges(shared);
     let diagnosis = shared.deadline_diagnosis();

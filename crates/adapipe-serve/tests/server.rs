@@ -526,7 +526,7 @@ fn backpressure_and_admin_dump_produce_flight_artifacts() {
     assert_eq!(backpressure, rejected, "one flight event per 503");
 
     server.shutdown_and_join();
-    // lint: allow(swallowed-result): best-effort temp cleanup
+    // Best-effort temp cleanup.
     let _cleaned = std::fs::remove_dir_all(&flight_dir);
 }
 

@@ -1,8 +1,10 @@
 //! The event-driven execution engine.
 
-// Index-based loops here mirror the task-id bookkeeping; iterators would
-// obscure the id arithmetic.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index-based loops here mirror the task-id bookkeeping; iterators would \
+              obscure the id arithmetic"
+)]
 
 use crate::error::SimError;
 use crate::report::{DeviceReport, MemorySample, SimReport, TimelineEntry};

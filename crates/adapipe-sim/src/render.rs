@@ -2,7 +2,11 @@
 //! Chrome-trace JSON export (`chrome://tracing` / Perfetto) for
 //! inspecting simulated schedules interactively.
 
-// lint: allow-file(swallowed-result): fmt::Write into a String cannot fail
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
+
 use crate::report::SimReport;
 use crate::task::OpKind;
 use adapipe_units::{convert, Bytes, MicroSecs};

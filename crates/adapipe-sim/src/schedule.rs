@@ -8,9 +8,11 @@
 //! emerge from dependencies — backward passes and earlier scheduling
 //! units first, which is the rule Chimera's hand schedules encode.
 
-// Index loops below mirror the (micro-batch, stage) grids of the paper's
-// schedule diagrams.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index loops below mirror the (micro-batch, stage) grids of the paper's \
+              schedule diagrams"
+)]
 
 use crate::task::{Discipline, OpKind, StageExec, TaskGraph, TaskMeta};
 use adapipe_units::{convert, Bytes, MicroSecs};

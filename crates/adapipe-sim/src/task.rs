@@ -187,7 +187,10 @@ impl TaskGraph {
     ///
     /// Panics if `device` is out of range or a dependency id is invalid
     /// (forward references would make the graph cyclic).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per task field; the schedule builders fill each explicitly"
+    )]
     pub fn push(
         &mut self,
         device: usize,

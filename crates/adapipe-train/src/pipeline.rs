@@ -1,7 +1,7 @@
-// lint: allow-file(expect, index): stage/channel wiring is built by
-// Pipeline::new with one sender/receiver per boundary; a missing channel or
-// out-of-range stage is a construction bug the ctor asserts, not a runtime
-// condition a caller can trigger.
+// lint: allow-file(index): stage/channel wiring is built by Pipeline::new
+// with one sender/receiver per boundary; an out-of-range stage is a
+// construction bug the ctor asserts, not a runtime condition a caller can
+// trigger.
 //! The multi-threaded 1F1B pipeline executor.
 //!
 //! Each stage runs on its own thread, connected to its neighbours by
@@ -10,6 +10,12 @@
 //! backward drain). Gradients accumulate across micro-batches and a
 //! synchronous SGD step closes the iteration, exactly like the DAPPLE
 //! engine the paper builds on.
+
+#![expect(
+    clippy::expect_used,
+    reason = "Pipeline::new wires one sender/receiver per boundary; a missing channel \
+              is a construction bug, not a runtime condition a caller can trigger"
+)]
 
 use crate::stage::{ExecCtx, ForwardCache, StageModule};
 use crate::tape::Tape;

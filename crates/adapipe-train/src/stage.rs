@@ -1,6 +1,6 @@
-// lint: allow-file(expect, index): the saved-set, unit table, and cache
-// vectors are sized by the constructor to exactly `units.len()`; every index
-// here is in-range by construction and the expects name those invariants.
+// lint: allow-file(index): the saved-set, unit table, and cache vectors are
+// sized by the constructor to exactly `units.len()`; every index here is
+// in-range by construction.
 //! A pipeline stage: a run of layers executed with per-unit
 //! save/recompute semantics.
 //!
@@ -16,6 +16,12 @@
 //! dropout masks are counter-based, keyed by `(step, micro-batch, layer,
 //! unit)` — the computed gradients are exactly those of a
 //! no-recomputation run.
+
+#![expect(
+    clippy::expect_used,
+    reason = "the saved-set, unit table and cache vectors are sized by the constructor; \
+              the expects name those invariants"
+)]
 
 use crate::tape::Tape;
 use crate::tensor::Tensor;

@@ -6,9 +6,11 @@
 //! what makes per-unit recomputation natural: dropping a unit's
 //! intermediates is simply dropping its tape.
 
-// Kernel loops below keep explicit (row, column, head) indices — the
-// math reads like the equations it implements.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "kernel loops below keep explicit (row, column, head) indices, so the math \
+              reads like the equations it implements"
+)]
 
 use crate::tensor::Tensor;
 

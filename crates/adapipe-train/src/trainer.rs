@@ -1,6 +1,12 @@
-// lint: allow-file(expect, index): worker threads and their channels are
-// created together in Trainer::new; send/recv can only fail if a thread
-// panicked, which the trainer surfaces by propagating the panic.
+// lint: allow-file(index): worker threads and their channels are created
+// together in Trainer::new.
+#![expect(
+    clippy::expect_used,
+    reason = "worker threads and their channels are created together in Trainer::new; \
+              send/recv can only fail if a thread panicked, which the trainer surfaces \
+              by propagating the panic"
+)]
+
 use crate::data::SyntheticCorpus;
 use crate::pipeline::train_iteration_with;
 use crate::stage::StageModule;

@@ -1,6 +1,6 @@
-// lint: allow-file(expect, index): unit splits come from LayerUnits::new,
-// which validates coverage; the fixed-shape [q, k, v] projections are indexed
-// by construction.
+// lint: allow-file(index): unit splits come from LayerUnits::new, which
+// validates coverage; the fixed-shape [q, k, v] projections are indexed by
+// construction.
 //! Executable computation units: the same Figure 4 decomposition as
 //! [`adapipe_model`], each unit owning its parameters and able to run its
 //! forward pass on a fresh autograd tape.
@@ -15,6 +15,11 @@
 //! multi-head attention (GPT) and SwiGLU MLPs with grouped-query
 //! attention (Llama). Output projections carry optional dropout whose
 //! mask is counter-based — recomputation replays it exactly.
+
+#![expect(
+    clippy::expect_used,
+    reason = "unit splits come from LayerUnits::new, which validates coverage"
+)]
 
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;

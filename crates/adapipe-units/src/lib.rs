@@ -671,10 +671,10 @@ impl fmt::Display for Cost {
 
 /// The sanctioned numeric conversions for cost-carrying code.
 ///
-/// Bare `as` casts silently truncate, wrap or lose precision, so `xtask
-/// lint`'s `unchecked-cast` rule forbids them in the cost crates
-/// (adapipe-recompute, adapipe-partition, adapipe-sim, adapipe-memory,
-/// adapipe-check). Code there converts through these helpers — each one
+/// Bare `as` casts silently truncate, wrap or lose precision, so the cost
+/// crates (adapipe-recompute, adapipe-partition, adapipe-sim,
+/// adapipe-memory, adapipe-check) deny `clippy::as_conversions` outside
+/// tests. Code there converts through these helpers — each one
 /// documents the rounding/saturation contract it implements — or through
 /// `try_from` when failure should be observable at the call site.
 pub mod convert {
@@ -696,10 +696,8 @@ pub mod convert {
     pub fn u64_f64(n: u64) -> f64 {
         // `as` is the only primitive for this conversion; the rounding
         // contract is documented above and this is the one sanctioned
-        // spelling (see docs/static-analysis.md, unchecked-cast).
-        #[allow(clippy::cast_precision_loss)]
-        let x = n as f64;
-        x
+        // spelling (see docs/static-analysis.md, `unchecked-cast`).
+        n as f64
     }
 
     /// Widens a `usize` index or count to `u64`. Lossless on every

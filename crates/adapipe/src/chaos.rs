@@ -13,7 +13,11 @@
 //! wall-clock time is read, so equal inputs give byte-identical
 //! reports.
 
-// lint: allow-file(swallowed-result): fmt::Write into a String cannot fail
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
+
 use crate::error::PlanError;
 use crate::method::Method;
 use crate::plan::{Plan, StagePlan};

@@ -23,7 +23,10 @@
 //! The CLI (`adapipe verify --optimality`) and the CI `optimality` job
 //! drive all three; `docs/verification.md` explains the calibrated band.
 
-// lint: allow-file(swallowed-result): fmt::Write into a String cannot fail
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
 
 use adapipe_check::{CheckCode, Diagnostic};
 use adapipe_hw::presets as hw;

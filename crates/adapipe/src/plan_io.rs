@@ -21,7 +21,11 @@
 //!   [`from_text_with_warnings`] reports the conversion so callers can
 //!   nudge users to re-save.
 
-// lint: allow-file(swallowed-result): fmt::Write into a String cannot fail
+#![expect(
+    clippy::let_underscore_must_use,
+    reason = "fmt::Write into a String cannot fail"
+)]
+
 use crate::method::Method;
 use crate::plan::{Plan, StagePlan};
 use adapipe_memory::StageMemory;
@@ -257,7 +261,6 @@ pub fn from_text(text: &str) -> Result<Plan, PlanParseError> {
 /// # Errors
 ///
 /// Returns [`PlanParseError`] on malformed input.
-#[allow(clippy::too_many_lines)]
 pub fn from_text_with_warnings(text: &str) -> Result<(Plan, Vec<String>), PlanParseError> {
     let mut lines = text.lines();
     let version = match lines.next().map(str::trim) {

@@ -465,10 +465,13 @@ impl Planner {
             let _span = self.rec.span_cat(keys::SPAN_EVALUATE_SIMULATE, "planner");
             match simulate(&graph, &self.rec) {
                 Ok(report) => report,
-                // lint: allow(panic): the shipped schedule generators never
-                // emit a cyclic graph, so a deadlock here is a generator
-                // bug, not a property of the plan; `chaos` maps it to a
-                // typed error for fault-injected graphs instead.
+                // `chaos` maps a deadlock to a typed error for
+                // fault-injected graphs instead.
+                #[expect(
+                    clippy::panic,
+                    reason = "the shipped schedule generators never emit a cyclic graph, \
+                              so a deadlock here is a generator bug, not a property of the plan"
+                )]
                 Err(e) => panic!("{e}"),
             }
         };

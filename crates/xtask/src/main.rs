@@ -1,18 +1,19 @@
 //! `xtask` — workspace maintenance tasks, invoked as
 //! `cargo run -p xtask -- <task>`.
 //!
-//! * `lint` — a zero-dependency source-level lint pass enforcing the
-//!   panic-freedom and API-hygiene rules documented in
-//!   `docs/static-analysis.md`. It is deliberately *not* a Rust parser —
-//!   it scans masked source text (comments and strings blanked) so it
-//!   stays dependency-free and fast, at the cost of only catching the
-//!   idioms it was written for.
+//! * `lint` — the panic-freedom and API-hygiene rules documented in
+//!   `docs/static-analysis.md`: one `cargo clippy` run over the library
+//!   crates with those rules' compiler lints denied, then the
+//!   hand-written rules no compiler lint covers. Those are deliberately
+//!   *not* a Rust parser — they scan masked source text (comments and
+//!   strings blanked) so they stay dependency-free and fast, at the cost
+//!   of only catching the idioms they were written for.
 //! * `bench-diff` — compares two directories of `BENCH_*.json` bench
 //!   artifacts and fails when a deterministic work counter changes at
 //!   all or a rate or time regresses by >20% (see
 //!   `docs/observability.md`).
 
-use xtask::{bench_diff, lint};
+use xtask::{bench_diff, clippy, lint};
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -21,7 +22,8 @@ const USAGE: &str = "\
 usage: cargo run -p xtask -- <task>
 
 tasks:
-  lint                              run the workspace source-level lint pass
+  lint                              run clippy with the workspace's denied lints,
+                                    then the source-level lint pass
                                     (see docs/static-analysis.md)
   bench-diff <baseline-dir> <new>   compare BENCH_*.json artifacts; exits
                                     non-zero when a work counter changes or a
@@ -96,15 +98,25 @@ fn bench_diff_task(baseline: &Path, new: &Path) -> ExitCode {
 
 fn lint_task() -> ExitCode {
     let root = workspace_root();
+    let compiler = match clippy::run(&mut clippy::command(&root)) {
+        Ok(found) => found,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let violations = lint::run(&root);
-    if violations.is_empty() {
+    if compiler.is_empty() && violations.is_empty() {
         println!("lint: ok — no violations");
         return ExitCode::SUCCESS;
+    }
+    for d in &compiler {
+        print!("{}", d.rendered);
     }
     for v in &violations {
         println!("{v}");
     }
-    println!("lint: {} violation(s)", violations.len());
+    println!("lint: {} violation(s)", compiler.len() + violations.len());
     ExitCode::FAILURE
 }
 

@@ -84,7 +84,6 @@ impl SourceFile {
 
 /// Blanks comment and string contents, returning the masked text and the
 /// comments as `(0-based start line, text)` pairs.
-#[allow(clippy::too_many_lines)]
 fn mask(text: &str) -> (String, Vec<(usize, String)>) {
     #[derive(PartialEq)]
     enum St {
@@ -331,9 +330,8 @@ fn parse_waiver(line: usize, comment: &str) -> Option<Waiver> {
 pub enum CrateKind {
     /// Library crate: all rules apply to its `src/` (minus tests/bins).
     Library,
-    /// The benchmark harness crate: panic-freedom rules are waived for
-    /// the whole crate (it is experiment-driver code, the moral
-    /// equivalent of `benches/`), but the `unsafe-header` rule applies.
+    /// The benchmark harness crate: experiment-driver code, the moral
+    /// equivalent of `benches/`, so only its waivers are checked.
     BenchHarness,
     /// Binary-only crate (no `src/lib.rs`): exempt, like `src/bin/`.
     Binary,
