@@ -1,9 +1,9 @@
 //! An exact LRU-bounded map from keys to shared values — the one
-//! bounded map in the workspace. It backs the process-global cache of
-//! §5.3 class tables (`adapipe-partition`, keyed by planning-instance
-//! digests), the daemon's plan cache (`adapipe-serve`, keyed by
-//! request digests) and the daemon's store of request traces (keyed by
-//! trace id).
+//! bounded map in the workspace. It backs the serve daemon's three
+//! caches: its §5.3 class tables (`adapipe-partition`'s `ClassTables`,
+//! keyed by planning-instance digests), its plan cache (keyed by
+//! request digests) and its store of request traces (keyed by trace
+//! id).
 //!
 //! One mutex guards the map. Every lookup and insert stamps its entry
 //! with the next value of one monotone tick, so no two entries share a

@@ -13,11 +13,11 @@
 //!   comes from `ADAPIPE_THREADS` (see [`ExecPool::from_env`]).
 //! * [`LruCache`] — the workspace's one exact LRU-bounded map to
 //!   shared values, with exact hit/miss/eviction counters and
-//!   approximate byte accounting. `adapipe-partition` keeps its
-//!   process-global cache of §5.3 class tables in one, keyed by the
-//!   [`sha256`] `instance_digest` of a planning instance; the serve
-//!   daemon keys its plan cache with request digests and its request
-//!   traces with trace ids.
+//!   approximate byte accounting. The serve daemon keeps three: its
+//!   §5.3 class tables (`adapipe-partition`'s `ClassTables`, keyed by
+//!   the [`sha256`] `instance_digest` of a planning instance), its plan
+//!   cache keyed by request digests and its request traces keyed by
+//!   trace id.
 //!
 //! Determinism is the design law, not an accident: the pool only
 //! distributes *indices* of a pre-enumerated task list and scatters

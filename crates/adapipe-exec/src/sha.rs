@@ -2,7 +2,7 @@
 //!
 //! Two caches key on these digests: `adapipe-serve`'s plan cache
 //! (canonical plan requests, `/v1/plan/{digest}` URLs) and
-//! `adapipe-partition`'s process-global cache of §5.3 class tables
+//! `adapipe-partition`'s cache of §5.3 class tables, `ClassTables`
 //! (keyed by `instance_digest`). The workspace is hermetic (no
 //! registry crates), so the digest is implemented here against the
 //! published test vectors.

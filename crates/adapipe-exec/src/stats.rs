@@ -1,6 +1,6 @@
 //! Cache accounting shared by every cache in the workspace (the
-//! per-plan isomorphism cache, the process-global cache of §5.3 class
-//! tables keyed by `instance_digest`, the daemon plan cache).
+//! per-plan isomorphism cache, the daemon's cache of §5.3 class tables
+//! keyed by `instance_digest`, the daemon plan cache).
 
 use std::fmt;
 use std::ops::{Add, AddAssign};

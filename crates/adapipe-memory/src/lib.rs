@@ -28,10 +28,13 @@
 //! let table = Profiler::new(hw::cluster_a()).profile(&model, &parallel, &train);
 //! let seq = LayerSeq::for_model(&model);
 //!
-//! let mem = MemoryModel::new(model.clone(), parallel, OptimizerSpec::adam_fp32());
+//! let mem = MemoryModel::new(model, parallel, OptimizerSpec::adam_fp32());
 //! let range = LayerRange::new(0, 24);
-//! let stage0 = mem.stage_breakdown(&table, &seq, range, 0, table.saved_bytes_pinned(range));
-//! assert!(stage0.static_bytes > Bytes::ZERO);
+//! assert!(mem.static_bytes(&seq, range) > Bytes::ZERO);
+//! // Under 1F1B stage 0 holds 8 micro-batches' activations, stage 7 one,
+//! // so the same layers get a smaller per-micro-batch budget first.
+//! let budget = |stage| mem.activation_budget(&table, &seq, range, stage, Bytes::from_gib(70));
+//! assert!(budget(0) < budget(7) && budget(0) > Some(Bytes::ZERO));
 //! # Ok::<(), adapipe_model::ConfigError>(())
 //! ```
 

@@ -125,48 +125,6 @@ impl MemoryModel {
         (Bytes::new(params + grads), Bytes::new(opt))
     }
 
-    /// Full breakdown for stage `stage` of a 1F1B pipeline whose
-    /// per-micro-batch saved intermediates occupy `saved_bytes_per_mb`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stage` is out of range for the pipeline size.
-    #[must_use]
-    pub fn stage_breakdown(
-        &self,
-        table: &ProfileTable,
-        seq: &LayerSeq,
-        range: LayerRange,
-        stage: usize,
-        saved_bytes_per_mb: Bytes,
-    ) -> StageMemory {
-        let live = convert::usize_u64(f1b_live_microbatches(self.parallel.pipeline(), stage));
-        StageMemory {
-            static_bytes: self.static_bytes(seq, range),
-            buffer_bytes: table.recompute_buffer_bytes(range),
-            intermediate_bytes: saved_bytes_per_mb * live,
-        }
-    }
-
-    /// Breakdown with an explicit live-micro-batch count, for non-1F1B
-    /// schedules (GPipe holds all `n`; Chimera holds direction-dependent
-    /// counts).
-    #[must_use]
-    pub fn stage_breakdown_with_live(
-        &self,
-        table: &ProfileTable,
-        seq: &LayerSeq,
-        range: LayerRange,
-        live_microbatches: usize,
-        saved_bytes_per_mb: Bytes,
-    ) -> StageMemory {
-        StageMemory {
-            static_bytes: self.static_bytes(seq, range),
-            buffer_bytes: table.recompute_buffer_bytes(range),
-            intermediate_bytes: saved_bytes_per_mb * convert::usize_u64(live_microbatches),
-        }
-    }
-
     /// The per-micro-batch activation budget the recomputation knapsack
     /// may spend for stage `stage` holding `range`, under device capacity
     /// `capacity`: `(capacity − static − buffer) / (p − s)`.
@@ -268,33 +226,14 @@ mod tests {
 
     #[test]
     fn breakdown_total_is_sum_of_parts() {
-        let (model, parallel, table, seq) = setup();
-        let mem = MemoryModel::new(model, parallel, OptimizerSpec::adam_fp32());
-        let range = seq.even_partition(8)[0];
-        let bd = mem.stage_breakdown(&table, &seq, range, 0, Bytes::new(123_456_789));
-        assert_eq!(
-            bd.total(),
-            bd.static_bytes
-                .saturating_add(bd.buffer_bytes)
-                .saturating_add(bd.intermediate_bytes)
-        );
-        assert_eq!(bd.intermediate_bytes, Bytes::new(8 * 123_456_789));
-        assert!(bd.fits(Bytes::new(u64::MAX)));
-        assert!(!bd.fits(Bytes::new(1)));
-    }
-
-    #[test]
-    fn explicit_live_counts_cover_gpipe_and_chimera() {
-        let (model, parallel, table, seq) = setup();
-        let mem = MemoryModel::new(model, parallel, OptimizerSpec::adam_fp32());
-        let range = seq.even_partition(8)[0];
-        let saved = Bytes::new(1_000_000);
-        // GPipe holds all n micro-batches; 1F1B stage 0 holds p.
-        let gpipe = mem.stage_breakdown_with_live(&table, &seq, range, 128, saved);
-        let f1b = mem.stage_breakdown(&table, &seq, range, 0, saved);
-        assert_eq!(gpipe.intermediate_bytes, saved * 128);
-        assert_eq!(f1b.intermediate_bytes, saved * 8);
-        assert_eq!(gpipe.static_bytes, f1b.static_bytes);
+        let bd = StageMemory {
+            static_bytes: Bytes::new(5),
+            buffer_bytes: Bytes::new(7),
+            intermediate_bytes: Bytes::new(8 * 123_456_789),
+        };
+        assert_eq!(bd.total(), Bytes::new(12 + 8 * 123_456_789));
+        assert!(bd.fits(bd.total()) && bd.fits(Bytes::new(u64::MAX)));
+        assert!(!bd.fits(Bytes::new(bd.total().get() - 1)));
     }
 
     #[test]

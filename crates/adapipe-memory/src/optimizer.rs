@@ -42,16 +42,6 @@ impl OptimizerSpec {
             ..Self::adam_fp32()
         }
     }
-
-    /// Plain SGD in half precision (used by the miniature trainer).
-    #[must_use]
-    pub fn sgd() -> Self {
-        OptimizerSpec {
-            state_bytes_per_param: 0,
-            master_bytes_per_param: 0,
-            grad_bytes_per_param: 2,
-        }
-    }
 }
 
 impl Default for OptimizerSpec {

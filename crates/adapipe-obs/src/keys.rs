@@ -109,8 +109,9 @@ pub const PREFILL_LEAVES: &str = "partition.prefill.leaves";
 
 // ---- execution-engine names ----------------------------------------
 // Produced by consumers of `adapipe-exec` (the planner, the serve
-// daemon, the benches) from `ExecPool::stats()` and the process-global
-// cache of §5.3 class tables keyed by `instance_digest`; see
+// daemon, the benches) from `ExecPool::stats()` and the daemon's
+// `ClassTables`, its cache of §5.3 class tables keyed by
+// `instance_digest`; see
 // docs/parallel.md.
 
 /// Workers configured in the deterministic exec pool (gauge).
@@ -134,13 +135,13 @@ pub const SUBCACHE_MISSES: &str = "subcache.misses";
 /// Materialize rebuild rate in `[0, 1]` (gauge, derived from the two
 /// counters by [`publish_subcache_hit_rate`]).
 pub const SUBCACHE_HIT_RATE: &str = "subcache.hit_rate";
-/// Class tables the process-wide cache evicted by its LRU bound
-/// (gauge, cumulative over the process lifetime).
+/// Class tables the daemon's cache evicted by its LRU bound (gauge,
+/// cumulative over the daemon's lifetime).
 pub const SUBCACHE_EVICTIONS: &str = "subcache.evictions";
-/// Bytes of the slot arrays of the class tables the process-wide cache
+/// Bytes of the slot arrays of the class tables the daemon's cache
 /// holds (gauge; the saved flags of filled slots come on top).
 pub const SUBCACHE_BYTES: &str = "subcache.bytes";
-/// Class tables the process-wide cache holds, one per planning instance
+/// Class tables the daemon's cache holds, one per planning instance
 /// (gauge).
 pub const SUBCACHE_ENTRIES: &str = "subcache.entries";
 

@@ -27,9 +27,9 @@
 //!   [`algorithm1::reachable_windows`] out over an
 //!   [`adapipe_exec::ExecPool`]; the DP then runs serially against a
 //!   fully warmed cache.
-//! * **Shared class tables** — [`subcache`] keeps the filled class
-//!   table of a planning instance process-wide, keyed by one digest of
-//!   everything a leaf reads, so the daemon's plans of one instance
+//! * **Shared class tables** — a [`subcache::ClassTables`] keeps the
+//!   filled class table of each planning instance, keyed by one digest
+//!   of everything a leaf reads, so the daemon's plans of one instance
 //!   that differ only in global batch run no knapsack leaf, and no
 //!   prefill scan once [`KnapsackCostProvider::sweep`] has swept the
 //!   table.

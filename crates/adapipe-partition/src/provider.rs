@@ -2,16 +2,16 @@
 //! forward/backward times by running the recomputation knapsack.
 //!
 //! [`KnapsackCostProvider`] is shareable concurrent state (`Sync`):
-//! the §5.3 isomorphism cache is a dense table of write-once atomic
+//! the §5.3 isomorphism cache is a dense table of write-once `OnceLock`
 //! slots and the hit/miss counters are atomics, so leaf evaluations can
 //! fan out over an [`adapipe_exec::ExecPool`] (see
 //! [`KnapsackCostProvider::prefill`]) while Algorithm 1 itself stays
 //! serial — which is what keeps plans byte-identical at any thread
 //! count. The same property lets the daemon share one filled table
-//! across the requests of an instance ([`crate::subcache`]).
+//! across the requests of an instance ([`subcache::ClassTables`]).
 
 use crate::cost::StageTimes;
-use crate::subcache;
+use crate::subcache::ClassTables;
 use adapipe_exec::{CacheStats, ExecError, ExecPool};
 use adapipe_memory::MemoryModel;
 use adapipe_model::{LayerKind, LayerRange, LayerSeq};
@@ -21,7 +21,7 @@ use adapipe_recompute::strategy::cost_of;
 use adapipe_recompute::{
     optimize, optimize_exhaustive, KnapsackConfig, OptimizedStage, RecomputeStrategy, StrategyError,
 };
-use adapipe_units::{convert, Bytes, MicroSecs};
+use adapipe_units::{convert, Bytes};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,47 +57,31 @@ pub trait StageCostProvider {
     fn stage_times(&self, stage: usize, range: LayerRange) -> Option<StageTimes>;
 }
 
-/// `f` bits of a slot no leaf has been written to. Both sentinels are
-/// NaN payloads no arithmetic produces; a leaf time with these bits is
-/// answered uncached instead of stored.
-const EMPTY: u64 = u64::MAX;
-/// `f` bits of a slot whose leaf cannot fit even under full
-/// recomputation.
-const INFEASIBLE: u64 = u64::MAX - 1;
-
-/// One isomorphism-class slot: the leaf's `f` and `b` as `f64` bits.
-/// `f` doubles as the state word ([`EMPTY`], [`INFEASIBLE`]) and is
-/// written last with release ordering, so a reader that sees it also
-/// sees `b` and the slot's [`Chosen`] flags. Racing writers of one
-/// class store identical bits (leaves are pure), which makes the slot
-/// write-once in effect.
-#[derive(Debug)]
-struct Slot {
-    f: AtomicU64,
-    b: AtomicU64,
-}
-
-/// What a feasible slot's leaf chose: the first layer of the window
-/// that filled the slot and its saved flags, packed 64 to a word (as
-/// `bool`s they raised the paper-scale daemon's peak RSS by 3–8 MB).
-/// Kept beside the slots, not in them, so Algorithm 1's `stage_times`
-/// path reads the dense `f`/`b` array alone.
+/// What a feasible leaf costs and chose: its forward/backward times,
+/// the first layer of the window that filled the slot and its saved
+/// flags, packed 64 to a word (as `bool`s they raised the paper-scale
+/// daemon's peak RSS by 3–8 MB).
 #[derive(Debug)]
 struct Chosen {
+    times: StageTimes,
     first: usize,
     saved: Box<[u64]>,
 }
 
 impl Chosen {
-    fn new(first: usize, strategy: &RecomputeStrategy) -> Self {
+    fn new(first: usize, leaf: &OptimizedStage) -> Self {
+        let strategy = &leaf.strategy;
         let mut saved = vec![0u64; strategy.len().div_ceil(64)];
         for (i, flag) in strategy.iter().enumerate() {
             if let Some(word) = saved.get_mut(i / 64) {
                 *word |= u64::from(flag) << (i % 64);
             }
         }
-        let saved = saved.into_boxed_slice();
-        Chosen { first, saved }
+        Chosen {
+            times: StageTimes::from(&leaf.cost),
+            first,
+            saved: saved.into_boxed_slice(),
+        }
     }
 
     /// The flags of the first `units` units.
@@ -136,10 +120,11 @@ fn iso_class(seq: &LayerSeq, range: LayerRange) -> Option<usize> {
     Some(kind * (l - 1) + len - 1)
 }
 
-/// The §5.3 isomorphism cache as a dense, lock-free table. Within a
-/// homogeneous transformer, two layer windows with equal length, equal
-/// first-layer kind and the same "reaches the final layer" flag contain
-/// identical layer sequences, so per stage the classes are:
+/// The §5.3 isomorphism cache as a dense table of write-once slots.
+/// Within a homogeneous transformer, two layer windows with equal
+/// length, equal first-layer kind and the same "reaches the final
+/// layer" flag contain identical layer sequences, so per stage the
+/// classes are:
 ///
 /// * windows that stop before the last layer: one slot per first-layer
 ///   kind that can start one (embedding, attention, feed-forward) and
@@ -152,8 +137,11 @@ fn iso_class(seq: &LayerSeq, range: LayerRange) -> Option<usize> {
 /// sequence, or one starting at the decoding head yet stopping short of
 /// it — are answered uncached.
 ///
-/// Each feasible slot also keeps its leaf's [`Chosen`] flags, so
-/// materialize rebuilds a winning stage instead of solving it again.
+/// Each slot is one `OnceLock`: unset while empty, `None` for a leaf
+/// that cannot fit even under full recomputation, else the leaf's
+/// [`Chosen`] times and flags, so materialize rebuilds a winning stage
+/// instead of solving it again. Racing writers of one class store
+/// identical leaves (leaves are pure); the loser's is dropped.
 ///
 /// The slots are allocated on first use, not with the provider:
 /// allocated at construction, the table raised the paper-scale
@@ -171,7 +159,7 @@ fn iso_class(seq: &LayerSeq, range: LayerRange) -> Option<usize> {
 pub(crate) struct ClassTable {
     layers: usize,
     stages: usize,
-    slots: OnceLock<(Vec<Slot>, Vec<OnceLock<Chosen>>)>,
+    slots: OnceLock<Vec<OnceLock<Option<Chosen>>>>,
     swept: AtomicBool,
 }
 
@@ -194,22 +182,14 @@ impl ClassTable {
         self.stages * Self::stride(self.layers)
     }
 
-    /// Bytes of the slot arrays (the flags of filled slots come on top).
+    /// Bytes of the slot array (the flags of filled slots come on top).
     pub(crate) fn bytes(&self) -> u64 {
-        let slot = std::mem::size_of::<Slot>() + std::mem::size_of::<OnceLock<Chosen>>();
-        convert::usize_u64(self.len() * slot)
+        convert::usize_u64(self.len() * std::mem::size_of::<OnceLock<Option<Chosen>>>())
     }
 
-    fn slots(&self) -> &(Vec<Slot>, Vec<OnceLock<Chosen>>) {
-        self.slots.get_or_init(|| {
-            let times = (0..self.len())
-                .map(|_| Slot {
-                    f: AtomicU64::new(EMPTY),
-                    b: AtomicU64::new(0),
-                })
-                .collect();
-            (times, (0..self.len()).map(|_| OnceLock::new()).collect())
-        })
+    fn slots(&self) -> &[OnceLock<Option<Chosen>>] {
+        self.slots
+            .get_or_init(|| (0..self.len()).map(|_| OnceLock::new()).collect())
     }
 
     /// The slot of `(stage, range)`'s isomorphism class, if it has one.
@@ -223,45 +203,22 @@ impl ClassTable {
     /// The cached answer in `slot`: `None` while empty, `Some(None)`
     /// for an infeasible leaf.
     fn get(&self, slot: usize) -> Option<Option<StageTimes>> {
-        let slot = &self.slots().0[slot];
-        match slot.f.load(Ordering::Acquire) {
-            EMPTY => None,
-            INFEASIBLE => Some(None),
-            f => Some(Some(StageTimes {
-                f: MicroSecs::new(f64::from_bits(f)),
-                b: MicroSecs::new(f64::from_bits(slot.b.load(Ordering::Relaxed))),
-            })),
-        }
+        let leaf = self.slots()[slot].get()?;
+        Some(leaf.as_ref().map(|chosen| chosen.times))
     }
 
-    /// Stores the leaf solved for the window starting at layer `first`.
+    /// Stores the leaf solved for the window starting at layer `first`,
+    /// unless the slot is already filled.
     fn set(&self, slot: usize, first: usize, leaf: Option<&OptimizedStage>) {
-        let (times, chosen) = self.slots();
-        let slot_times = &times[slot];
-        let f = match leaf {
-            None => INFEASIBLE,
-            Some(opt) => {
-                let t = StageTimes::from(&opt.cost);
-                let f = t.f.as_micros().to_bits();
-                if f == EMPTY || f == INFEASIBLE {
-                    return;
-                }
-                // A racing writer of the class stored the same flags.
-                let _same = chosen[slot].set(Chosen::new(first, &opt.strategy));
-                slot_times
-                    .b
-                    .store(t.b.as_micros().to_bits(), Ordering::Relaxed);
-                f
-            }
-        };
-        slot_times.f.store(f, Ordering::Release);
+        // A racing writer of the class stored the same leaf.
+        let _same = self.slots()[slot].set(leaf.map(|opt| Chosen::new(first, opt)));
     }
 }
 
 /// The production provider: budgets each `(stage, window)` with the
 /// memory model and optimizes it with the recomputation knapsack, caching
 /// by isomorphism class — in a private table, or in the instance's
-/// process-wide one ([`KnapsackCostProvider::with_shared_class_table`]).
+/// table in a [`ClassTables`] ([`KnapsackCostProvider::with_class_tables`]).
 #[derive(Debug)]
 pub struct KnapsackCostProvider<'a> {
     seq: &'a LayerSeq,
@@ -299,13 +256,13 @@ impl<'a> KnapsackCostProvider<'a> {
         }
     }
 
-    /// Answers from the class table this instance shares process-wide
-    /// ([`crate::subcache`]), filled by earlier providers of the same
-    /// instance, instead of a private one. Answers are byte-identical
-    /// either way: a slot holds what the knapsack returns for its class.
+    /// Answers from this instance's table in `tables`, filled by earlier
+    /// providers of the same instance, instead of a private one. Answers
+    /// are byte-identical either way: a slot holds what the knapsack
+    /// returns for its class.
     #[must_use]
-    pub fn with_shared_class_table(mut self) -> Self {
-        self.classes = subcache::table_for(self.seq, self.table, self.mem, self.capacity);
+    pub fn with_class_tables(mut self, tables: &ClassTables) -> Self {
+        self.classes = tables.table_for(self.seq, self.table, self.mem, self.capacity);
         self
     }
 
@@ -392,7 +349,7 @@ impl<'a> KnapsackCostProvider<'a> {
     /// `range`'s stage rebuilt from `slot`'s flags, if the window that
     /// filled the slot feeds the knapsack the same items and budget.
     fn rebuild(&self, slot: usize, stage: usize, range: LayerRange) -> Option<OptimizedStage> {
-        let chosen = self.classes.slots().1[slot].get()?;
+        let chosen = self.classes.slots()[slot].get()?.as_ref()?;
         let filler = LayerRange::new(chosen.first, chosen.first + range.len() - 1);
         if !self.same_inputs(stage, filler, range) {
             return None;
@@ -703,6 +660,7 @@ mod tests {
     use adapipe_memory::OptimizerSpec;
     use adapipe_model::{presets, ModelSpec, ParallelConfig, TrainConfig};
     use adapipe_profiler::Profiler;
+    use adapipe_units::MicroSecs;
 
     struct Fixture {
         seq: LayerSeq,
@@ -1122,16 +1080,14 @@ mod tests {
             ParallelConfig::new(2, 4, 1).unwrap(),
             1024,
         );
-        // A capacity no other test plans at, so the shared table starts
-        // empty.
-        let cap = Bytes::new(Bytes::from_gib(80).get() - 1);
+        let (cap, tables) = (Bytes::from_gib(80), ClassTables::default());
         let plain = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap);
         let warm =
-            KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap).with_shared_class_table();
+            KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap).with_class_tables(&tables);
         // A *second* provider of the instance answers from the table the
         // first filled (the cross-request warm-start path).
         let reuse =
-            KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap).with_shared_class_table();
+            KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap).with_class_tables(&tables);
         for stage in 0..4 {
             for first in [0usize, 2, 9] {
                 for last in [11usize, 19, 25] {
@@ -1179,6 +1135,35 @@ mod tests {
     }
 
     #[test]
+    fn a_slot_is_empty_infeasible_or_a_leaf_and_set_once() {
+        let fx = fixture(
+            presets::gpt2_small(),
+            ParallelConfig::new(2, 4, 1).unwrap(),
+            1024,
+        );
+        let provider = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
+        let r = LayerRange::new(3, 12);
+        let leaf = provider.optimize_stage(1, r).unwrap();
+        let classes = ClassTable::new(fx.seq.len(), 4);
+        let feasible = classes.index(&fx.seq, 1, r).unwrap();
+        let infeasible = 0;
+        assert_eq!(classes.get(infeasible), None, "empty");
+        classes.set(infeasible, 0, None);
+        assert_eq!(classes.get(infeasible), Some(None));
+        classes.set(feasible, r.first, Some(&leaf));
+        let times = StageTimes::from(&leaf.cost);
+        assert_eq!(classes.get(feasible), Some(Some(times)));
+        let chosen = classes.slots()[feasible].get().unwrap().as_ref().unwrap();
+        let flags: Vec<bool> = leaf.strategy.iter().collect();
+        assert_eq!((chosen.first, chosen.flags(flags.len())), (r.first, flags));
+        // A second store of either slot is ignored.
+        classes.set(feasible, 0, None);
+        classes.set(infeasible, r.first, Some(&leaf));
+        assert_eq!(classes.get(feasible), Some(Some(times)));
+        assert_eq!(classes.get(infeasible), Some(None));
+    }
+
+    #[test]
     fn prefill_answers_every_solve_query_from_cache() {
         let fx = fixture(
             presets::gpt2_small(),
@@ -1210,11 +1195,10 @@ mod tests {
             1024,
         );
         let (l, p) = (fx.seq.len(), 4);
-        // A capacity no other test plans at, so the shared table starts
-        // empty.
-        let cap = Bytes::new(Bytes::from_gib(80).get() - 2);
+        let tables = ClassTables::default();
         let shared = || {
-            KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, cap).with_shared_class_table()
+            KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80))
+                .with_class_tables(&tables)
         };
         let first = shared();
         assert!(!first.is_swept());

@@ -1,4 +1,4 @@
-//! The process-global cache of filled §5.3 class tables.
+//! The daemon's cache of filled §5.3 class tables.
 //!
 //! A [`KnapsackCostProvider`](crate::KnapsackCostProvider) answers every
 //! knapsack leaf of one planning instance from its isomorphism-class
@@ -9,19 +9,20 @@
 //! plans of one instance that differ only in global batch can share one
 //! filled table, and a later plan then runs no knapsack leaf at all.
 //!
-//! The daemon opts in (`Planner::with_shared_subcache` in the `adapipe`
-//! crate): its providers take their table from this cache, keyed by
-//! [`instance_digest`], one SHA-256 over everything a leaf reads.
-//! One-shot planners keep a private table per plan.
+//! A [`ClassTables`] value holds those tables, keyed by
+//! [`instance_digest`], one SHA-256 over everything a leaf reads. The
+//! serve daemon owns one and hands it to every request's planner
+//! (`Planner::with_class_tables` in the `adapipe` crate); one-shot
+//! planners keep a private table per plan.
 //!
 //! Determinism law: a slot holds what a fresh solve of its first window
 //! returns, whichever request filled it, so a shared table answers
 //! exactly as a private one would and plans stay byte-identical.
 //!
-//! The cache holds at most [`CAPACITY`] tables in one exact LRU (a
-//! GPT-3 table at p = 8 is a few hundred kilobytes once filled), with
+//! A [`ClassTables`] holds at most [`CAPACITY`] tables in one exact LRU
+//! (a GPT-3 table at p = 8 is a few hundred kilobytes once filled), with
 //! entries, evictions and slot-array bytes published as `subcache.*`
-//! gauges by [`publish_gauges`].
+//! gauges by [`ClassTables::publish_gauges`].
 
 use crate::provider::ClassTable;
 use adapipe_exec::cache::Digest;
@@ -31,7 +32,7 @@ use adapipe_model::{LayerKind, LayerSeq, UnitKind};
 use adapipe_obs::{keys, Recorder};
 use adapipe_profiler::ProfileTable;
 use adapipe_units::{convert, Bytes};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Tables held at once. The daemon's paper-scale traffic plans four
 /// instances over and over (`perfbench` `serve-mixed`), and every
@@ -39,39 +40,51 @@ use std::sync::{Arc, OnceLock};
 /// (`serve-paper-miss`).
 pub const CAPACITY: usize = 8;
 
-/// The shared cache.
-pub(crate) fn global() -> &'static LruCache<Digest, ClassTable> {
-    static GLOBAL: OnceLock<LruCache<Digest, ClassTable>> = OnceLock::new();
-    GLOBAL.get_or_init(|| LruCache::new(CAPACITY))
+/// Filled class tables of up to [`CAPACITY`] planning instances,
+/// shared by the providers that are handed this value.
+#[derive(Debug)]
+pub struct ClassTables {
+    tables: LruCache<Digest, ClassTable>,
 }
 
-/// The shared table of the instance, inserted empty on first use.
-pub(crate) fn table_for(
-    seq: &LayerSeq,
-    table: &ProfileTable,
-    mem: &MemoryModel,
-    capacity: Bytes,
-) -> Arc<ClassTable> {
-    let key = instance_digest(seq, table, mem, capacity);
-    let cache = global();
-    if let Some(classes) = cache.get(&key) {
-        return classes;
+impl Default for ClassTables {
+    fn default() -> Self {
+        ClassTables {
+            tables: LruCache::new(CAPACITY),
+        }
     }
-    let classes = Arc::new(ClassTable::new(seq.len(), mem.parallel().pipeline()));
-    cache.insert(key, Arc::clone(&classes), classes.bytes());
-    classes
 }
 
-/// Publishes the shared cache's state as the `subcache.entries`,
-/// `subcache.evictions` and `subcache.bytes` gauges.
-pub fn publish_gauges(rec: &Recorder) {
-    let cache = global();
-    rec.gauge(keys::SUBCACHE_ENTRIES, convert::count_f64(cache.len()));
-    rec.gauge(
-        keys::SUBCACHE_EVICTIONS,
-        convert::u64_f64(cache.evictions()),
-    );
-    rec.gauge(keys::SUBCACHE_BYTES, convert::u64_f64(cache.bytes()));
+impl ClassTables {
+    /// The table of the instance, inserted empty on first use.
+    pub(crate) fn table_for(
+        &self,
+        seq: &LayerSeq,
+        table: &ProfileTable,
+        mem: &MemoryModel,
+        capacity: Bytes,
+    ) -> Arc<ClassTable> {
+        let key = instance_digest(seq, table, mem, capacity);
+        if let Some(classes) = self.tables.get(&key) {
+            return classes;
+        }
+        let classes = Arc::new(ClassTable::new(seq.len(), mem.parallel().pipeline()));
+        self.tables
+            .insert(key, Arc::clone(&classes), classes.bytes());
+        classes
+    }
+
+    /// Publishes the cache's state as the `subcache.entries`,
+    /// `subcache.evictions` and `subcache.bytes` gauges.
+    pub fn publish_gauges(&self, rec: &Recorder) {
+        let tables = &self.tables;
+        rec.gauge(keys::SUBCACHE_ENTRIES, convert::count_f64(tables.len()));
+        rec.gauge(
+            keys::SUBCACHE_EVICTIONS,
+            convert::u64_f64(tables.evictions()),
+        );
+        rec.gauge(keys::SUBCACHE_BYTES, convert::u64_f64(tables.bytes()));
+    }
 }
 
 /// The digest of everything a knapsack leaf of this instance reads: the
@@ -224,31 +237,34 @@ mod tests {
 
     #[test]
     fn store_and_lookup_round_trip_with_accounting() {
-        // A capacity no other test plans at, so this instance's entry
-        // is this test's own.
         let i = gpt2(2, 4, 1, 32);
-        let cap = Bytes::new(0x1234_5678_9abc);
-        let before = global().stats();
-        let first = table_for(&i.seq, &i.table, &i.mem, cap);
-        let again = table_for(&i.seq, &i.table, &i.mem, cap);
+        let cap = Bytes::from_gib(80);
+        let tables = ClassTables::default();
+        let first = tables.table_for(&i.seq, &i.table, &i.mem, cap);
+        let again = tables.table_for(&i.seq, &i.table, &i.mem, cap);
         assert!(Arc::ptr_eq(&first, &again), "one table per instance");
-        let delta = global().stats();
-        assert!(delta.hits > before.hits && delta.misses > before.misses);
-        assert!(global().bytes() >= first.bytes() && first.bytes() > 0);
-        assert!(!global().is_empty() && global().len() <= CAPACITY);
+        let stats = tables.tables.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+        assert_eq!(tables.tables.bytes(), first.bytes());
+        assert!(first.bytes() > 0);
         let rec = Recorder::new();
-        publish_gauges(&rec);
+        tables.publish_gauges(&rec);
         let gauges = rec.snapshot().gauges;
-        assert!(gauges
-            .get(keys::SUBCACHE_ENTRIES)
-            .is_some_and(|&e| e >= 1.0));
+        assert_eq!(gauges.get(keys::SUBCACHE_ENTRIES), Some(&1.0));
+        assert_eq!(gauges.get(keys::SUBCACHE_EVICTIONS), Some(&0.0));
     }
 
     #[test]
-    fn global_cache_is_a_singleton() {
-        let a = global() as *const LruCache<Digest, ClassTable>;
-        let b = global() as *const LruCache<Digest, ClassTable>;
-        assert_eq!(a, b);
-        assert_eq!(global().capacity(), CAPACITY);
+    fn two_caches_never_share_a_table() {
+        let i = gpt2(2, 4, 1, 32);
+        let cap = Bytes::from_gib(80);
+        let (a, b) = (ClassTables::default(), ClassTables::default());
+        let from_a = a.table_for(&i.seq, &i.table, &i.mem, cap);
+        let from_b = b.table_for(&i.seq, &i.table, &i.mem, cap);
+        assert!(!Arc::ptr_eq(&from_a, &from_b));
+        assert!(Arc::ptr_eq(
+            &from_a,
+            &a.table_for(&i.seq, &i.table, &i.mem, cap)
+        ));
     }
 }

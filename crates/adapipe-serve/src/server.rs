@@ -60,7 +60,7 @@ use adapipe_exec::cache::Digest;
 use adapipe_exec::{digest_from_hex, ExecPool, LruCache};
 use adapipe_faults::{DegradationEvent, Diagnosis, Watchdog};
 use adapipe_obs::{flight, keys, report, trace, FlightRecorder, Recorder};
-use adapipe_partition::subcache;
+use adapipe_partition::subcache::ClassTables;
 use adapipe_units::{convert, MicroSecs};
 use std::collections::VecDeque;
 use std::io::Read;
@@ -167,6 +167,8 @@ struct Shared {
     /// Deterministic exec pool shared by every worker's
     /// planner for parallel leaf prefill (`ADAPIPE_THREADS` sizes it).
     exec: Arc<ExecPool>,
+    /// Filled §5.3 class tables, shared by every worker's planner.
+    class_tables: Arc<ClassTables>,
     queue: BoundedQueue<Job>,
     rec: Recorder,
     /// Request traces: trace id → Chrome-trace JSON.
@@ -315,6 +317,7 @@ impl Server {
         let shared = Arc::new(Shared {
             cache: LruCache::new(cfg.cache_capacity),
             exec: Arc::new(ExecPool::from_env()),
+            class_tables: Arc::new(ClassTables::default()),
             queue: BoundedQueue::new(cfg.queue_depth),
             rec,
             traces: LruCache::new(cfg.trace_capacity),
@@ -386,12 +389,6 @@ impl Server {
     /// in-flight requests. Returns immediately; [`Server::join`] waits.
     pub fn request_shutdown(&self) {
         self.shared.begin_shutdown();
-    }
-
-    /// Whether a shutdown has been requested.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
     }
 
     /// Waits for the acceptor and every worker to exit (i.e. for a
@@ -683,7 +680,7 @@ fn plan_response(
     // The planner records into the *request* recorder: its span tree
     // lands in this request's trace, its metrics are absorbed into the
     // shared registry when the request completes. Every daemon planner
-    // shares the exec pool and the process-wide class tables, so cold
+    // shares the exec pool and the daemon's class tables, so cold
     // plans prefill leaves in parallel and a plan of an instance an
     // earlier request filled runs no knapsack leaf (plans stay
     // byte-identical — docs/parallel.md).
@@ -691,7 +688,7 @@ fn plan_response(
         Ok(p) => p
             .with_recorder(rec.clone())
             .with_exec_pool(Arc::clone(&shared.exec))
-            .with_shared_subcache(true),
+            .with_class_tables(Arc::clone(&shared.class_tables)),
         Err(e) => return request_error_response(&e),
     };
     let (method, parallel, train) = match (preq.method_enum(), preq.parallel(), preq.train()) {
@@ -789,7 +786,7 @@ fn metrics_response(shared: &Shared) -> Response {
 }
 
 /// Publishes the execution-engine state — exec-pool counters and the
-/// process-global cache of class tables — as gauges on the shared registry,
+/// daemon's cache of class tables — as gauges on the shared registry,
 /// so `/metrics` and the serve bench artifact expose them.
 fn publish_engine_gauges(shared: &Shared) {
     let pool = shared.exec.stats();
@@ -798,5 +795,5 @@ fn publish_engine_gauges(shared: &Shared) {
     rec.gauge(keys::EXEC_POOL_BATCHES, convert::u64_f64(pool.batches));
     rec.gauge(keys::EXEC_POOL_TASKS, convert::u64_f64(pool.tasks));
     rec.gauge(keys::EXEC_POOL_STEALS, convert::u64_f64(pool.steals));
-    subcache::publish_gauges(rec);
+    shared.class_tables.publish_gauges(rec);
 }

@@ -281,10 +281,7 @@ fn expired_deadline_is_rejected_and_late_finish_is_diagnosed() {
 #[test]
 fn metrics_expose_serve_and_iso_cache_families() {
     let (server, addr) = quick_server();
-    // A headroom no other test plans at, so the cold plan fills a class
-    // table of its own (tables are shared process-wide).
     let mut req = gpt2_request();
-    req.headroom = 0.8125;
     let body = req.to_wire_text();
     client::post_plan(&addr, &body).unwrap();
     client::post_plan(&addr, &body).unwrap();
@@ -339,6 +336,23 @@ fn metrics_expose_serve_and_iso_cache_families() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert!(leaf_evals() > before, "a new headroom reused a class table");
     server.shutdown_and_join();
+}
+
+#[test]
+fn each_server_reports_only_its_own_class_tables() {
+    let ((a, a_addr), (b, b_addr)) = (quick_server(), quick_server());
+    let resp = client::post_plan(&a_addr, &gpt2_request().to_wire_text()).unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body);
+    let entries = |addr: &str| {
+        let metrics = client::get(addr, "/metrics").unwrap();
+        let v = json::parse(&metrics.body).expect("valid metrics JSON");
+        let gauges = v.get("gauges").expect("gauges object");
+        gauges.get(keys::SUBCACHE_ENTRIES).and_then(|e| e.as_f64())
+    };
+    assert_eq!(entries(&a_addr), Some(1.0));
+    assert_eq!(entries(&b_addr), Some(0.0), "B reports A's class table");
+    a.shutdown_and_join();
+    b.shutdown_and_join();
 }
 
 #[test]

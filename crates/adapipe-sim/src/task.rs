@@ -159,17 +159,6 @@ impl TaskGraph {
         &self.tasks[task].deps
     }
 
-    /// Scheduling priority of a task (smaller runs first under
-    /// [`Discipline::GreedyPriority`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `task` is out of range.
-    #[must_use]
-    pub fn task_priority(&self, task: usize) -> u64 {
-        self.tasks[task].priority
-    }
-
     /// What the task represents.
     ///
     /// # Panics

@@ -181,6 +181,16 @@ mod tests {
     }
 
     #[test]
+    fn live_microbatches_cover_gpipe_1f1b_and_chimera() {
+        // GPipe holds all n micro-batches; 1F1B stage 0 holds p.
+        let (p, n) = (8, 128);
+        assert_eq!(Method::GpipeFull.live_microbatches(p, 0, n), n);
+        assert_eq!(Method::AdaPipe.live_microbatches(p, 0, n), p);
+        assert_eq!(Method::AdaPipe.live_microbatches(p, p - 1, n), 1);
+        assert_eq!(Method::ChimeraNone.live_microbatches(p, 3, n), p / 2 + 1);
+    }
+
+    #[test]
     fn virtual_chunks_only_for_interleaved() {
         for m in Method::all() {
             let v = m.virtual_chunks();

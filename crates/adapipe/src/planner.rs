@@ -7,6 +7,7 @@ use adapipe_hw::ClusterSpec;
 use adapipe_memory::{MemoryModel, OptimizerSpec, StageMemory};
 use adapipe_model::{LayerRange, LayerSeq, ModelSpec, ParallelConfig, TrainConfig};
 use adapipe_obs::{keys, Recorder};
+use adapipe_partition::subcache::ClassTables;
 use adapipe_partition::{algorithm1, f1b_iteration_time, F1bBreakdown, KnapsackCostProvider};
 use adapipe_profiler::{ProfileTable, Profiler};
 use adapipe_recompute::{strategy, RecomputeStrategy, StageCost};
@@ -31,11 +32,11 @@ pub struct Planner {
     /// search fully serial (the default — plans are byte-identical
     /// either way, see docs/parallel.md).
     exec: Option<Arc<ExecPool>>,
-    /// Whether adaptive searches answer from the process-wide class
-    /// table of their instance. Off by default so one-shot planners
-    /// keep exact per-plan knapsack counters; the serving daemon turns
-    /// it on to warm-start across requests.
-    shared_subcache: bool,
+    /// Class tables adaptive searches answer from; `None` (the default)
+    /// keeps a private table per plan, so one-shot planners keep exact
+    /// per-plan knapsack counters. The serving daemon hands its tables
+    /// to every request's planner to warm-start across requests.
+    class_tables: Option<Arc<ClassTables>>,
 }
 
 pub(crate) struct Context {
@@ -57,7 +58,7 @@ impl Planner {
             search_headroom: 0.875,
             rec: Recorder::disabled(),
             exec: None,
-            shared_subcache: false,
+            class_tables: None,
         }
     }
 
@@ -72,16 +73,15 @@ impl Planner {
         self
     }
 
-    /// Makes adaptive searches share the §5.3 class table of their
-    /// planning instance process-wide ([`adapipe_partition::subcache`]):
-    /// a plan of an instance an earlier plan filled — one that differs
-    /// only in global batch — answers every knapsack leaf from the
-    /// table. Plans are byte-identical either way; per-plan
-    /// knapsack-effort counters drop to zero on a warm table, which is
-    /// why this is opt-in.
+    /// Makes adaptive searches answer from the §5.3 class table of
+    /// their planning instance in `tables`: a plan of an instance an
+    /// earlier plan on the same tables filled — one that differs only in
+    /// global batch — answers every knapsack leaf from the table. Plans
+    /// are byte-identical either way; per-plan knapsack-effort counters
+    /// drop to zero on a warm table, which is why this is opt-in.
     #[must_use]
-    pub fn with_shared_subcache(mut self, enabled: bool) -> Self {
-        self.shared_subcache = enabled;
+    pub fn with_class_tables(mut self, tables: Arc<ClassTables>) -> Self {
+        self.class_tables = Some(tables);
         self
     }
 
@@ -253,15 +253,14 @@ impl Planner {
     }
 
     /// Builds the adaptive-search cost provider, on the instance's
-    /// shared class table when [`Planner::with_shared_subcache`] opted in.
+    /// table in the [`Planner::with_class_tables`] tables, if any.
     fn adaptive_provider<'a>(&self, ctx: &'a Context) -> KnapsackCostProvider<'a> {
         let provider =
             KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity())
                 .with_recorder(self.rec.clone());
-        if self.shared_subcache {
-            provider.with_shared_class_table()
-        } else {
-            provider
+        match &self.class_tables {
+            Some(tables) => provider.with_class_tables(tables),
+            None => provider,
         }
     }
 
@@ -620,13 +619,10 @@ mod tests {
 
     #[test]
     fn a_swept_class_table_is_not_scanned_again() -> Result<(), PlanError> {
-        // A headroom no other test plans at, so the instance's shared
-        // class table starts empty.
-        let planner =
-            || Planner::new(presets::gpt2_small(), hw::cluster_a()).with_search_headroom(0.8125);
+        let planner = || Planner::new(presets::gpt2_small(), hw::cluster_a());
         let rec = Recorder::new();
         let daemon = planner()
-            .with_shared_subcache(true)
+            .with_class_tables(Arc::new(ClassTables::default()))
             .with_exec_pool(Arc::new(ExecPool::new(2)))
             .with_recorder(rec.clone());
         let parallel = ParallelConfig::new(2, 4, 1)?;
