@@ -30,8 +30,8 @@ impl fmt::Display for Severity {
 pub enum CheckCode {
     /// Stage count disagrees with `p · virtual_chunks`.
     StageCount,
-    /// Micro-batch count inconsistent with the workload, or too small
-    /// for the schedule (`n < p` for 1F1B).
+    /// Micro-batch count inconsistent with the workload, or a `(p, n)`
+    /// the schedule cannot run (`adapipe_sim::schedule::check_shape`).
     MicrobatchCount,
     /// Adjacent stage ranges leave a gap or overlap.
     PartitionGap,
@@ -54,7 +54,7 @@ pub enum CheckCode {
     /// The task dependency graph has a cycle.
     CycleDetected,
     /// Dependencies are acyclic but a fixed-order device queue still
-    /// deadlocks (queue order contradicts dependency order).
+    /// deadlocks (its `(priority, id)` order contradicts them).
     DeviceOrderDeadlock,
     /// A task has a negative duration.
     TaskDuration,

@@ -1,37 +1,60 @@
-//! Static checks over the simulator's task graphs: the 1F1B dependency
-//! structure must be acyclic, and under fixed-order device queues the
-//! queue order must not contradict dependency order (which would
-//! deadlock the engine at run time).
+//! Static checks over the simulator's task graphs: an untimed replay of
+//! the engine's dispatch rule must start every task.
 
 use crate::diag::{CheckCode, Diagnostic};
 use adapipe_sim::{Discipline, TaskGraph};
 use adapipe_units::MicroSecs;
 
-/// Kahn's algorithm over `edges` (from → to). Returns the ids of tasks
-/// that can never become ready (empty when the graph is acyclic).
-fn stuck_tasks(n: usize, edges: &[(usize, usize)]) -> Vec<usize> {
-    let mut indegree = vec![0usize; n];
-    let mut out_edges: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(from, to) in edges {
-        indegree[to] += 1;
-        out_edges[from].push(to);
+/// Runs `g` without time and returns the tasks that never start,
+/// ascending. A task starts once its dependencies have run and, given
+/// `queues`, it is next in its device's queue (the fixed-order rule);
+/// without them, any task whose dependencies have run starts (the
+/// greedy rule, which is Kahn's algorithm).
+fn never_started(g: &TaskGraph, queues: Option<&[Vec<usize>]>) -> Vec<usize> {
+    let n = g.len();
+    // The dependents of task t are `dependents[row[t]..row[t + 1]]`.
+    let mut row = vec![0usize; n + 1];
+    for t in 0..n {
+        for &(dep, _) in g.task_deps(t) {
+            row[dep] += 1;
+        }
     }
-    let mut ready: Vec<usize> = (0..n).filter(|&t| indegree[t] == 0).collect();
-    let mut done = 0usize;
-    while let Some(t) = ready.pop() {
-        done += 1;
-        for &next in &out_edges[t] {
-            indegree[next] -= 1;
-            if indegree[next] == 0 {
-                ready.push(next);
+    for t in 0..n {
+        row[t + 1] += row[t];
+    }
+    let mut dependents = vec![0usize; row[n]];
+    for t in 0..n {
+        for &(dep, _) in g.task_deps(t) {
+            row[dep] -= 1;
+            dependents[row[dep]] = t;
+        }
+    }
+
+    let mut unmet: Vec<usize> = (0..n).map(|t| g.task_deps(t).len()).collect();
+    let mut next = vec![0usize; g.devices()];
+    let is_next = |next: &[usize], t: usize| {
+        let dev = g.task_device(t);
+        queues.is_none_or(|q| q[dev].get(next[dev]) == Some(&t))
+    };
+    let mut runnable: Vec<usize> = (0..n)
+        .filter(|&t| unmet[t] == 0 && is_next(&next, t))
+        .collect();
+    let mut started = vec![false; n];
+    while let Some(t) = runnable.pop() {
+        started[t] = true;
+        if let Some(q) = queues {
+            let dev = g.task_device(t);
+            next[dev] += 1;
+            runnable.extend(q[dev].get(next[dev]).filter(|&&head| unmet[head] == 0));
+        }
+        for &d in &dependents[row[t]..row[t + 1]] {
+            unmet[d] -= 1;
+            if unmet[d] == 0 && is_next(&next, d) {
+                runnable.push(d);
             }
         }
     }
-    if done == n {
-        Vec::new()
-    } else {
-        (0..n).filter(|&t| indegree[t] > 0).collect()
-    }
+    (0..n).filter(|&t| !started[t]).collect()
 }
 
 fn describe(g: &TaskGraph, stuck: &[usize]) -> String {
@@ -58,16 +81,15 @@ fn describe(g: &TaskGraph, stuck: &[usize]) -> String {
 }
 
 /// Checks a task graph for the schedule-level invariants: non-negative
-/// durations, an acyclic dependency DAG, and — under
-/// [`Discipline::FixedOrder`] — device queues whose insertion order is
-/// compatible with the dependencies (per-device non-overlap is then
-/// achievable without deadlock).
+/// durations, and every task started by a replay of the graph's
+/// [`Discipline`] in the [`TaskGraph::device_queues`] order the engine
+/// runs. A graph that passes costs one replay; one that sticks gets
+/// `cycle-detected` if a greedy replay (its dependencies alone) also
+/// sticks, else `device-order-deadlock`.
 #[must_use]
 pub fn check_task_graph(g: &TaskGraph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let n = g.len();
-    let mut dep_edges = Vec::new();
-    for t in 0..n {
+    for t in 0..g.len() {
         if g.task_duration(t) < MicroSecs::ZERO {
             out.push(Diagnostic::error(
                 CheckCode::TaskDuration,
@@ -75,45 +97,34 @@ pub fn check_task_graph(g: &TaskGraph) -> Vec<Diagnostic> {
                 format!("task {t} has negative duration {}", g.task_duration(t)),
             ));
         }
-        for &(dep, _) in g.task_deps(t) {
-            dep_edges.push((dep, t));
-        }
     }
 
-    let stuck = stuck_tasks(n, &dep_edges);
-    if !stuck.is_empty() {
-        out.push(Diagnostic::error(
-            CheckCode::CycleDetected,
-            None,
-            format!("dependency cycle: {}", describe(g, &stuck)),
-        ));
+    let queues = (g.discipline() == Discipline::FixedOrder).then(|| g.device_queues());
+    let stuck = never_started(g, queues.as_deref());
+    if stuck.is_empty() {
         return out;
     }
-
-    if g.discipline() == Discipline::FixedOrder {
-        // A fixed-order device runs its queue strictly in insertion
-        // order, which adds an implicit edge between queue neighbours.
-        let mut last_on_device: Vec<Option<usize>> = vec![None; g.devices()];
-        let mut combined = dep_edges;
-        for t in 0..n {
-            let dev = g.task_device(t);
-            if let Some(prev) = last_on_device[dev] {
-                combined.push((prev, t));
-            }
-            last_on_device[dev] = Some(t);
-        }
-        let stuck = stuck_tasks(n, &combined);
-        if !stuck.is_empty() {
-            out.push(Diagnostic::error(
+    let (code, what, tasks) = if queues.is_none() {
+        (CheckCode::CycleDetected, "dependency cycle", stuck)
+    } else {
+        // Only a failing fixed-order graph pays for the greedy replay
+        // that tells a dependency cycle from a contradicting queue.
+        let cyclic = never_started(g, None);
+        if cyclic.is_empty() {
+            (
                 CheckCode::DeviceOrderDeadlock,
-                None,
-                format!(
-                    "fixed-order queues contradict the dependencies: {}",
-                    describe(g, &stuck)
-                ),
-            ));
+                "fixed-order queues contradict the dependencies",
+                stuck,
+            )
+        } else {
+            (CheckCode::CycleDetected, "dependency cycle", cyclic)
         }
-    }
+    };
+    out.push(Diagnostic::error(
+        code,
+        None,
+        format!("{what}: {}", describe(g, &tasks)),
+    ));
     out
 }
 
@@ -263,6 +274,58 @@ mod tests {
         );
         g2.add_dep(x, y, MicroSecs::ZERO);
         assert!(check_task_graph(&g2).is_empty());
+    }
+
+    /// dev0 queues B (priority 0) before A (priority 1), but B waits on
+    /// X (dev1), which waits on A. Insertion order A, X, B respects every
+    /// dependency; the queue order the engine runs does not.
+    fn priority_probe() -> TaskGraph {
+        let mut g = TaskGraph::new("probe", 2, Discipline::FixedOrder);
+        let a = g.push(
+            0,
+            MicroSecs::new(1.0),
+            vec![],
+            Bytes::ZERO,
+            Bytes::ZERO,
+            1,
+            meta(0, 0),
+        );
+        let x = g.push(
+            1,
+            MicroSecs::new(1.0),
+            vec![(a, MicroSecs::ZERO)],
+            Bytes::ZERO,
+            Bytes::ZERO,
+            0,
+            meta(1, 0),
+        );
+        let _ = g.push(
+            0,
+            MicroSecs::new(1.0),
+            vec![(x, MicroSecs::ZERO)],
+            Bytes::ZERO,
+            Bytes::ZERO,
+            0,
+            meta(0, 1),
+        );
+        g
+    }
+
+    #[test]
+    fn queue_priority_order_deadlock_is_detected() {
+        let diags = check_task_graph(&priority_probe());
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, CheckCode::DeviceOrderDeadlock);
+        assert!(diags[0].message.contains("3 of 3 tasks"), "{diags:?}");
+    }
+
+    #[test]
+    fn fixed_order_cycle_is_a_cycle() {
+        let mut g = priority_probe();
+        g.add_dep(0, 2, MicroSecs::ZERO);
+        let diags = check_task_graph(&g);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, CheckCode::CycleDetected);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! AdaPipe's search engine promises *feasible* strategies: every stage
 //! fits its memory budget under the chosen save/recompute set
 //! (Eq. (1)-(2), §4.3), the partition is a contiguous cover of all `L`
-//! layers (§5), the 1F1B task DAG is acyclic and executable without
-//! per-device overlap, and the analytic iteration time
+//! layers (§5), the schedule's task graph runs to completion on the
+//! devices' queues, and the analytic iteration time
 //! `T = W₀ + E₀ + (n − p)·M₀` (Eq. (3), §5.1) matches its recurrences.
 //! Until now nothing checked a produced plan except running the
 //! simulator end to end; this crate checks each invariant *statically*,
@@ -14,8 +14,8 @@
 //! [`LayerRange`](adapipe_model::LayerRange)s, per-stage costs against
 //! unit profiles, memory breakdowns against expected breakdowns, stored
 //! Eq. (3) results against the recurrences, and
-//! [`TaskGraph`](adapipe_sim::TaskGraph)s for cycles and fixed-order
-//! deadlocks. The `adapipe` crate's `verify` module assembles these into
+//! [`TaskGraph`](adapipe_sim::TaskGraph)s, replayed in the engine's
+//! queue order, for cycles and fixed-order deadlocks. The `adapipe` crate's `verify` module assembles these into
 //! a whole-plan verifier (`adapipe verify` on the CLI); the planner runs
 //! the same checks behind `debug_assertions` at its materialize and
 //! evaluate phase boundaries.

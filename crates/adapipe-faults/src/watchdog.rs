@@ -190,8 +190,12 @@ mod tests {
 
     #[test]
     fn slowed_device_misses_deadlines_persistently() {
-        let (mut graph, planned) = healthy_run(3, 8);
-        graph.slow_device(1, 0.5); // 2x slower: over the 1.5x deadline
+        let planned = stages(3);
+        // Device 1 at half speed: 2x slower, over the 1.5x deadline.
+        let mut slowed = planned.clone();
+        slowed[1].time_f = slowed[1].time_f * 2.0;
+        slowed[1].time_b = slowed[1].time_b * 2.0;
+        let graph = schedule::one_f_one_b(&slowed, 8, MicroSecs::ZERO);
         let report = simulate(&graph, &Recorder::disabled()).unwrap();
         let wd = Watchdog::default();
         let events = wd.scan(&report, &planned, &[]);

@@ -1,11 +1,5 @@
 //! The event-driven execution engine.
 
-#![allow(
-    clippy::needless_range_loop,
-    reason = "index-based loops here mirror the task-id bookkeeping; iterators would \
-              obscure the id arithmetic"
-)]
-
 use crate::error::SimError;
 use crate::report::{DeviceReport, MemorySample, SimReport, TimelineEntry};
 use crate::task::{Discipline, TaskGraph};
@@ -53,7 +47,8 @@ impl Ord for Event {
 /// Executes `graph` and reports makespan, per-device bubbles and peak
 /// dynamic memory, and the full timeline.
 ///
-/// The simulation is deterministic: ties are broken by task id.
+/// Each device starts its tasks in [`TaskGraph::device_queues`] order,
+/// as its [`Discipline`] allows. The simulation is deterministic.
 ///
 /// Engine effort goes to `rec` (pass [`Recorder::disabled()`] to opt
 /// out): tasks and events processed (`sim.tasks`, `sim.events`), the
@@ -86,25 +81,23 @@ pub fn simulate(graph: &TaskGraph, rec: &Recorder) -> Result<SimReport, SimError
         }
     }
 
-    // Per-device state. Fixed-order queues run in (priority, id) order —
-    // generators encode the schedule script position in the priority.
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); d];
-    for (id, t) in graph.tasks.iter().enumerate() {
-        queues[t.device].push(id);
+    // Per-device state. Each device starts tasks in its queue order;
+    // `dispatchable` holds the queue positions of its ready tasks.
+    let queues = graph.device_queues();
+    let mut queue_pos = vec![0usize; n];
+    for q in &queues {
+        for (pos, &id) in q.iter().enumerate() {
+            queue_pos[id] = pos;
+        }
     }
-    for q in &mut queues {
-        q.sort_by_key(|&id| (graph.tasks[id].priority, id));
-    }
-    let mut queue_ptr = vec![0usize; d];
-    let mut dispatchable: Vec<BTreeSet<(u64, usize)>> = vec![BTreeSet::new(); d];
+    let mut dispatchable: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); d];
+    let mut started = vec![0usize; d];
     let mut busy = vec![false; d];
     let mut busy_time = vec![0.0f64; d];
     let mut mem_cur = vec![0i64; d];
     let mut mem_peak = vec![0i64; d];
 
-    let mut started = vec![false; n];
     let mut done = vec![false; n];
-    let mut is_ready = vec![false; n];
 
     let mut heap: BinaryHeap<Event> = BinaryHeap::new();
     let mut seq = 0u64;
@@ -119,75 +112,13 @@ pub fn simulate(graph: &TaskGraph, rec: &Recorder) -> Result<SimReport, SimError
 
     let mut timeline: Vec<TimelineEntry> = Vec::with_capacity(n);
     let mut memory_timeline: Vec<MemorySample> = Vec::with_capacity(2 * n);
-    let mut completed = 0usize;
     let mut makespan = 0.0f64;
 
     // Seed: tasks with no dependencies are ready at t = 0.
-    for id in 0..n {
-        if unmet[id] == 0 {
+    for (id, &deps) in unmet.iter().enumerate() {
+        if deps == 0 {
             push(&mut heap, &mut seq, 0.0, EventKind::Ready(id));
         }
-    }
-
-    // Starts `id` on its (idle) device at `now`.
-    macro_rules! start_task {
-        ($id:expr, $now:expr) => {{
-            let id = $id;
-            let now = $now;
-            let t = &graph.tasks[id];
-            debug_assert!(!busy[t.device]);
-            busy[t.device] = true;
-            started[id] = true;
-            dispatchable[t.device].remove(&(t.priority, id));
-            mem_cur[t.device] += convert::u64_i64_saturating(t.mem_acquire.get());
-            mem_peak[t.device] = mem_peak[t.device].max(mem_cur[t.device]);
-            memory_timeline.push(MemorySample {
-                time: MicroSecs::new(now),
-                device: t.device,
-                bytes: Bytes::new(convert::i64_u64_clamped(mem_cur[t.device])),
-            });
-            busy_time[t.device] += t.dur.as_micros();
-            let end = now + t.dur.as_micros();
-            timeline.push(TimelineEntry {
-                device: t.device,
-                meta: t.meta,
-                start: MicroSecs::new(now),
-                end: MicroSecs::new(end),
-            });
-            push(&mut heap, &mut seq, end, EventKind::Complete(id));
-        }};
-    }
-
-    // Tries to start the next task on `dev` at `now`.
-    macro_rules! try_dispatch {
-        ($dev:expr, $now:expr) => {{
-            let dev = $dev;
-            let now = $now;
-            if !busy[dev] {
-                match graph.discipline {
-                    Discipline::FixedOrder => {
-                        // Skip completed heads (shouldn't happen, but safe).
-                        while queue_ptr[dev] < queues[dev].len()
-                            && done[queues[dev][queue_ptr[dev]]]
-                        {
-                            queue_ptr[dev] += 1;
-                        }
-                        if queue_ptr[dev] < queues[dev].len() {
-                            let head = queues[dev][queue_ptr[dev]];
-                            if !started[head] && is_ready[head] && ready_at[head] <= now + 1e-15 {
-                                queue_ptr[dev] += 1;
-                                start_task!(head, now);
-                            }
-                        }
-                    }
-                    Discipline::GreedyPriority => {
-                        if let Some(&(_prio, id)) = dispatchable[dev].iter().next() {
-                            start_task!(id, now);
-                        }
-                    }
-                }
-            }
-        }};
     }
 
     // Process events in batches sharing a timestamp: all state changes at
@@ -211,19 +142,14 @@ pub fn simulate(graph: &TaskGraph, rec: &Recorder) -> Result<SimReport, SimError
             events += 1;
             match ev.kind {
                 EventKind::Ready(id) => {
-                    if started[id] {
-                        continue;
-                    }
-                    is_ready[id] = true;
                     let t = &graph.tasks[id];
-                    dispatchable[t.device].insert((t.priority, id));
+                    dispatchable[t.device].insert(queue_pos[id]);
                     ready_peak = ready_peak.max(dispatchable[t.device].len());
                     touched.push(t.device);
                 }
                 EventKind::Complete(id) => {
                     let t = &graph.tasks[id];
                     done[id] = true;
-                    completed += 1;
                     busy[t.device] = false;
                     mem_cur[t.device] -= convert::u64_i64_saturating(t.mem_release.get());
                     memory_timeline.push(MemorySample {
@@ -256,11 +182,40 @@ pub fn simulate(graph: &TaskGraph, rec: &Recorder) -> Result<SimReport, SimError
         }
         touched.sort_unstable();
         touched.dedup();
+        // An idle device starts the first ready task in its queue; a
+        // fixed-order device only if that task is its next one.
         for &dev in &touched {
-            try_dispatch!(dev, now);
+            let Some(&pos) = dispatchable[dev].first() else {
+                continue;
+            };
+            if busy[dev] || (graph.discipline == Discipline::FixedOrder && pos != started[dev]) {
+                continue;
+            }
+            dispatchable[dev].remove(&pos);
+            let id = queues[dev][pos];
+            let t = &graph.tasks[id];
+            busy[dev] = true;
+            started[dev] += 1;
+            mem_cur[dev] += convert::u64_i64_saturating(t.mem_acquire.get());
+            mem_peak[dev] = mem_peak[dev].max(mem_cur[dev]);
+            memory_timeline.push(MemorySample {
+                time: MicroSecs::new(now),
+                device: dev,
+                bytes: Bytes::new(convert::i64_u64_clamped(mem_cur[dev])),
+            });
+            busy_time[dev] += t.dur.as_micros();
+            let end = now + t.dur.as_micros();
+            timeline.push(TimelineEntry {
+                device: dev,
+                meta: t.meta,
+                start: MicroSecs::new(now),
+                end: MicroSecs::new(end),
+            });
+            push(&mut heap, &mut seq, end, EventKind::Complete(id));
         }
     }
 
+    let completed = timeline.len();
     if completed != n {
         // Deadlock: name a few stuck tasks and what they wait on, which
         // turns an opaque hang into an actionable bug report.
@@ -310,9 +265,9 @@ pub fn simulate(graph: &TaskGraph, rec: &Recorder) -> Result<SimReport, SimError
         rec.add(keys::SIM_TASKS, convert::usize_u64(n));
         rec.add(keys::SIM_EVENTS, events);
         rec.gauge_max(keys::SIM_READY_QUEUE_PEAK, convert::count_f64(ready_peak));
-        for dev in 0..d {
-            rec.gauge(&keys::sim_device_busy_us(dev), busy_time[dev]);
-            rec.gauge(&keys::sim_device_bubble_us(dev), makespan - busy_time[dev]);
+        for (dev, &busy) in busy_time.iter().enumerate() {
+            rec.gauge(&keys::sim_device_busy_us(dev), busy);
+            rec.gauge(&keys::sim_device_bubble_us(dev), makespan - busy);
         }
     }
     Ok(SimReport {
@@ -558,6 +513,51 @@ mod tests {
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn fixed_order_runs_queues_in_priority_order() {
+        // Device 0 queues b (priority 0) before a (priority 1); b waits on
+        // x (device 1), which waits on a. Inserted a, x, b, the graph
+        // respects every dependency, but its queue order deadlocks.
+        let mut g = TaskGraph::new("probe", 2, Discipline::FixedOrder);
+        let a = g.push(
+            0,
+            MicroSecs::new(1.0),
+            vec![],
+            Bytes::ZERO,
+            Bytes::ZERO,
+            1,
+            meta(0),
+        );
+        let x = g.push(
+            1,
+            MicroSecs::new(1.0),
+            vec![(a, MicroSecs::ZERO)],
+            Bytes::ZERO,
+            Bytes::ZERO,
+            0,
+            meta(1),
+        );
+        let b = g.push(
+            0,
+            MicroSecs::new(1.0),
+            vec![(x, MicroSecs::ZERO)],
+            Bytes::ZERO,
+            Bytes::ZERO,
+            0,
+            meta(2),
+        );
+        assert_eq!(g.device_queues(), vec![vec![2, 0], vec![1]]);
+        match simulate(&g, &Recorder::disabled()) {
+            Err(SimError::Deadlock { completed, .. }) => assert_eq!(completed, 0),
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+        // Swapping the script back lets every task run.
+        g.swap_priorities(a, b);
+        assert_eq!(g.device_queues(), vec![vec![0, 2], vec![1]]);
+        let r = simulate(&g, &Recorder::disabled()).unwrap();
+        assert_eq!(r.makespan, MicroSecs::new(3.0));
     }
 
     #[test]

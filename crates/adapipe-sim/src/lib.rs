@@ -10,12 +10,13 @@
 //! Two execution disciplines are supported:
 //!
 //! * **Fixed order** — each device runs its operation queue strictly in
-//!   order, blocking until the head's dependencies are met. This is how
+//!   `(priority, id)` order ([`TaskGraph::device_queues`]), blocking
+//!   until the head's dependencies are met. This is how
 //!   1F1B and GPipe engines behave, and it lets us check the simulator
 //!   against the closed-form cost model of `adapipe-partition` (they must
 //!   agree to float precision).
-//! * **Greedy priority** — each idle device runs the ready task with the
-//!   best priority. Used for the bidirectional Chimera schedules, whose
+//! * **Greedy priority** — each idle device runs the first ready task in
+//!   that queue. Used for the bidirectional Chimera schedules, whose
 //!   interleaving emerges from dependencies rather than a fixed script.
 //!
 //! # Example

@@ -16,6 +16,79 @@
 
 use crate::task::{Discipline, OpKind, StageExec, TaskGraph, TaskMeta};
 use adapipe_units::{convert, Bytes, MicroSecs};
+use std::error::Error;
+use std::fmt;
+
+/// The schedule families of the generators below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Family {
+    /// [`one_f_one_b`].
+    OneFOneB,
+    /// [`gpipe`].
+    Gpipe,
+    /// [`chimera`], with or without forward doubling.
+    Chimera,
+    /// [`interleaved`].
+    Interleaved,
+}
+
+/// The [`check_shape`] rule a `(p, n)` breaks, stated by `Display`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShapeError {
+    /// 1F1B and interleaved 1F1B need `n >= p` to fill the pipe.
+    Underfilled { n: usize, p: usize },
+    /// GPipe needs a micro-batch.
+    NoMicroBatches,
+    /// Chimera pairs a down and an up pipeline, so needs an even `p`.
+    OddPipeline { p: usize },
+    /// Chimera runs units of `p` micro-batches, so needs `n = k·p, k > 0`.
+    RaggedUnits { n: usize, p: usize },
+}
+
+impl fmt::Display for ShapeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            ShapeError::Underfilled { n, p } => write!(f, "1F1B needs n >= p (n={n}, p={p})"),
+            ShapeError::NoMicroBatches => f.write_str("GPipe needs at least one micro-batch"),
+            ShapeError::OddPipeline { p } => {
+                write!(f, "chimera needs an even pipeline size, got {p}")
+            }
+            ShapeError::RaggedUnits { n, p } => write!(
+                f,
+                "chimera needs n to be a positive multiple of p (n={n}, p={p})"
+            ),
+        }
+    }
+}
+
+impl Error for ShapeError {}
+
+/// Whether `family` can run `n` micro-batches on `p` devices; the one
+/// statement of each generator's shape rule, which it panics on.
+///
+/// # Errors
+///
+/// The first rule `(p, n)` breaks.
+pub fn check_shape(family: Family, p: usize, n: usize) -> Result<(), ShapeError> {
+    match family {
+        Family::OneFOneB | Family::Interleaved if n < p => Err(ShapeError::Underfilled { n, p }),
+        Family::Gpipe if n == 0 => Err(ShapeError::NoMicroBatches),
+        Family::Chimera if !p.is_multiple_of(2) => Err(ShapeError::OddPipeline { p }),
+        Family::Chimera if n == 0 || !n.is_multiple_of(p) => Err(ShapeError::RaggedUnits { n, p }),
+        _ => Ok(()),
+    }
+}
+
+#[expect(
+    clippy::panic,
+    reason = "each generator documents this panic; callers with untrusted (p, n) call \
+              `check_shape` first"
+)]
+fn require_shape(family: Family, p: usize, n: usize) {
+    if let Err(e) = check_shape(family, p, n) {
+        panic!("{e}");
+    }
+}
 
 /// Script position of op (`kind`, micro-batch `m`) in stage `s`'s 1F1B
 /// queue: `p − s − 1` warmup forwards, alternating steady phase, backward
@@ -48,12 +121,11 @@ fn f1b_script_pos(kind: OpKind, m: usize, s: usize, p: usize, n: usize) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if `stages` is empty or `n` is less than the stage count.
+/// Panics if `stages` is empty or [`check_shape`] rejects `(p, n)`.
 #[must_use]
 pub fn one_f_one_b(stages: &[StageExec], n: usize, p2p: MicroSecs) -> TaskGraph {
     let p = stages.len();
-    assert!(p > 0, "pipeline must have at least one stage");
-    assert!(n >= p, "1F1B needs n >= p (n={n}, p={p})");
+    require_shape(Family::OneFOneB, p, n);
 
     let mut g = TaskGraph::new("1f1b", p, Discipline::FixedOrder);
     let mut fwd_id = vec![vec![usize::MAX; n]; p];
@@ -117,12 +189,11 @@ pub fn one_f_one_b(stages: &[StageExec], n: usize, p2p: MicroSecs) -> TaskGraph 
 ///
 /// # Panics
 ///
-/// Panics if `stages` is empty or `n == 0`.
+/// Panics if `stages` is empty or [`check_shape`] rejects `(p, n)`.
 #[must_use]
 pub fn gpipe(stages: &[StageExec], n: usize, p2p: MicroSecs) -> TaskGraph {
     let p = stages.len();
-    assert!(p > 0, "pipeline must have at least one stage");
-    assert!(n > 0, "need at least one micro-batch");
+    require_shape(Family::Gpipe, p, n);
 
     let mut g = TaskGraph::new("gpipe", p, Discipline::FixedOrder);
     let mut fwd_id = vec![vec![usize::MAX; n]; p];
@@ -190,8 +261,7 @@ pub fn gpipe(stages: &[StageExec], n: usize, p2p: MicroSecs) -> TaskGraph {
 ///
 /// # Panics
 ///
-/// Panics if `p` is odd or zero, or if `n` is not a positive multiple of
-/// `p`.
+/// Panics if `stages` is empty or [`check_shape`] rejects `(p, n)`.
 #[must_use]
 pub fn chimera(
     stages: &[StageExec],
@@ -200,14 +270,7 @@ pub fn chimera(
     forward_doubling: bool,
 ) -> TaskGraph {
     let p = stages.len();
-    assert!(
-        p > 0 && p.is_multiple_of(2),
-        "chimera needs an even stage count, got {p}"
-    );
-    assert!(
-        n > 0 && n.is_multiple_of(p),
-        "chimera needs n to be a positive multiple of p (n={n}, p={p})"
-    );
+    require_shape(Family::Chimera, p, n);
 
     let name = if forward_doubling {
         "chimera-d"
@@ -366,17 +429,16 @@ pub fn chimera(
 /// # Panics
 ///
 /// Panics if `devices` is zero, `chunks` is not a positive multiple of
-/// `devices`, or `n < devices`.
+/// `devices`, or [`check_shape`] rejects `(devices, n)`.
 #[must_use]
 pub fn interleaved(chunks: &[StageExec], devices: usize, n: usize, p2p: MicroSecs) -> TaskGraph {
     let p = devices;
-    assert!(p > 0, "need at least one device");
     let vp = chunks.len();
     assert!(
         vp >= p && vp.is_multiple_of(p),
         "chunk count {vp} must be a positive multiple of devices {p}"
     );
-    assert!(n >= p, "interleaved 1F1B needs n >= devices (n={n}, p={p})");
+    require_shape(Family::Interleaved, p, n);
 
     let mut g = TaskGraph::new("interleaved-1f1b", p, Discipline::GreedyPriority);
     let device_of = |vs: usize| vs % p;
@@ -680,13 +742,46 @@ mod tests {
     }
 
     #[test]
+    fn shape_rules_per_family() {
+        use Family::{Chimera, Gpipe, Interleaved, OneFOneB};
+        for family in [OneFOneB, Interleaved] {
+            assert_eq!(
+                check_shape(family, 4, 3),
+                Err(ShapeError::Underfilled { n: 3, p: 4 })
+            );
+            assert_eq!(check_shape(family, 4, 4), Ok(()));
+        }
+        assert_eq!(check_shape(Gpipe, 4, 0), Err(ShapeError::NoMicroBatches));
+        assert_eq!(check_shape(Gpipe, 4, 1), Ok(()));
+        assert_eq!(
+            check_shape(Chimera, 3, 6),
+            Err(ShapeError::OddPipeline { p: 3 })
+        );
+        assert_eq!(
+            check_shape(Chimera, 4, 6),
+            Err(ShapeError::RaggedUnits { n: 6, p: 4 })
+        );
+        assert_eq!(
+            check_shape(Chimera, 4, 0),
+            Err(ShapeError::RaggedUnits { n: 0, p: 4 })
+        );
+        assert_eq!(check_shape(Chimera, 4, 8), Ok(()));
+    }
+
+    #[test]
+    #[should_panic(expected = "1F1B needs n >= p (n=3, p=4)")]
+    fn f1b_rejects_underfilled_pipe() {
+        let _ = one_f_one_b(&balanced(4, 1.0, 1.0, 0, 0), 3, FREE);
+    }
+
+    #[test]
     #[should_panic(expected = "multiple of devices")]
     fn interleaved_rejects_ragged_chunks() {
         let _ = interleaved(&balanced(5, 1.0, 1.0, 0, 0), 2, 4, FREE);
     }
 
     #[test]
-    #[should_panic(expected = "even stage count")]
+    #[should_panic(expected = "even pipeline size")]
     fn chimera_rejects_odd_p() {
         let _ = chimera(&balanced(3, 1.0, 1.0, 0, 0), 6, FREE, false);
     }

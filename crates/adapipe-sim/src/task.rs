@@ -48,12 +48,14 @@ pub struct StageExec {
     pub buffer_bytes: Bytes,
 }
 
-/// How devices choose their next task.
+/// How devices choose their next task from [`TaskGraph::device_queues`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Discipline {
-    /// Run each device's queue strictly in insertion order.
+    /// Run each device's queue strictly in order, waiting while the next
+    /// task's dependencies are unfinished.
     FixedOrder,
-    /// Run the ready task with the smallest priority value.
+    /// Run the first task in the device's queue whose dependencies have
+    /// finished.
     GreedyPriority,
 }
 
@@ -69,7 +71,8 @@ pub(crate) struct Task {
     pub mem_acquire: Bytes,
     /// Memory released on the device when the task ends.
     pub mem_release: Bytes,
-    /// Priority for [`Discipline::GreedyPriority`] (smaller runs first).
+    /// Queue key on the device (smaller first, ties by id); fixed-order
+    /// generators store the script position here.
     pub priority: u64,
     pub meta: TaskMeta,
 }
@@ -169,6 +172,26 @@ impl TaskGraph {
         self.tasks[task].meta
     }
 
+    /// Each device's tasks in ascending `(priority, id)` order: the one
+    /// statement of the order in which a device may start them, which
+    /// the engine runs and the [`Discipline`] applies.
+    #[must_use]
+    pub fn device_queues(&self) -> Vec<Vec<usize>> {
+        let mut keyed: Vec<Vec<(u64, usize)>> = vec![Vec::new(); self.devices];
+        for (id, t) in self.tasks.iter().enumerate() {
+            keyed[t.device].push((t.priority, id));
+        }
+        keyed
+            .into_iter()
+            .map(|mut q| {
+                // The generators push each device's keys in a few
+                // ascending runs, which a stable sort merges.
+                q.sort();
+                q.into_iter().map(|(_, id)| id).collect()
+            })
+            .collect()
+    }
+
     /// Adds a task and returns its id. Dependencies must refer to
     /// already-added tasks.
     ///
@@ -223,30 +246,20 @@ impl TaskGraph {
         self.tasks[task].dur += extra;
     }
 
-    /// Scales the duration of every task on `device` by `1 / factor` —
-    /// a device computing at `factor` × its healthy speed takes
-    /// `1 / factor` × as long per task.
+    /// Swaps the priorities, and so the queue places, of tasks `a` and
+    /// `b`: a reordered script.
     ///
     /// # Panics
     ///
-    /// Panics if `device` is out of range or `factor` is not positive
-    /// and finite.
-    pub fn slow_device(&mut self, device: usize, factor: f64) {
-        assert!(device < self.devices, "device {device} out of range");
-        assert!(
-            factor > 0.0 && factor.is_finite(),
-            "compute factor must be positive and finite, got {factor}"
-        );
-        for t in &mut self.tasks {
-            if t.device == device {
-                t.dur = MicroSecs::new(t.dur.as_micros() / factor);
-            }
-        }
+    /// Panics if either id is out of range.
+    pub fn swap_priorities(&mut self, a: usize, b: usize) {
+        let pa = self.tasks[a].priority;
+        self.tasks[a].priority = std::mem::replace(&mut self.tasks[b].priority, pa);
     }
 
     /// Adds a dependency edge after the fact. Unlike [`TaskGraph::push`],
-    /// `dep` may be any task id (forward references allowed); the caller
-    /// must keep the graph acyclic — the engine panics on deadlock.
+    /// `dep` may be any task id, so the edge can close a cycle or cross a
+    /// fixed-order queue: the engine returns [`crate::SimError::Deadlock`].
     ///
     /// # Panics
     ///

@@ -1,3 +1,4 @@
+use adapipe_sim::schedule::Family;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -85,14 +86,18 @@ impl Method {
         ]
     }
 
-    /// Whether the method schedules two bidirectional pipelines
-    /// (parameters replicated per device).
+    /// The simulator schedule family the method's plans run on.
     #[must_use]
-    pub fn is_chimera(self) -> bool {
-        matches!(
-            self,
-            Method::ChimeraFull | Method::ChimeraNone | Method::ChimeraDFull | Method::ChimeraDNone
-        )
+    pub(crate) fn schedule_family(self) -> Family {
+        match self {
+            Method::ChimeraFull
+            | Method::ChimeraNone
+            | Method::ChimeraDFull
+            | Method::ChimeraDNone => Family::Chimera,
+            Method::GpipeFull | Method::GpipeNone => Family::Gpipe,
+            Method::InterleavedFull | Method::InterleavedNone => Family::Interleaved,
+            _ => Family::OneFOneB,
+        }
     }
 
     /// Whether the method searches recomputation adaptively (AdaPipe and
@@ -120,12 +125,12 @@ impl Method {
     pub fn live_microbatches(self, pipeline: usize, stage: usize, n: usize) -> usize {
         let vp = pipeline * self.virtual_chunks();
         assert!(stage < vp, "stage {stage} out of range for vp={vp}");
-        match self {
-            Method::GpipeFull | Method::GpipeNone => n,
+        match self.schedule_family() {
+            Family::Gpipe => n,
             // Virtual-stage residency: a vp-deep 1F1B law.
-            Method::InterleavedFull | Method::InterleavedNone => vp - stage,
-            m if m.is_chimera() => pipeline / 2 + 1,
-            _ => adapipe_memory::f1b_live_microbatches(pipeline, stage),
+            Family::Interleaved => vp - stage,
+            Family::Chimera => pipeline / 2 + 1,
+            Family::OneFOneB => adapipe_memory::f1b_live_microbatches(pipeline, stage),
         }
     }
 
@@ -173,10 +178,10 @@ mod tests {
         for m in Method::all() {
             if m.is_adaptive() {
                 assert!(!m.saves_everything());
-                assert!(!m.is_chimera());
+                assert_ne!(m.schedule_family(), Family::Chimera);
             }
         }
-        assert!(Method::ChimeraDNone.is_chimera());
+        assert_eq!(Method::ChimeraDNone.schedule_family(), Family::Chimera);
         assert!(Method::ChimeraDNone.saves_everything());
     }
 
@@ -205,7 +210,7 @@ mod tests {
     #[test]
     fn selective_is_a_plain_1f1b_baseline() {
         let m = Method::DappleSelective;
-        assert!(!m.is_chimera());
+        assert_eq!(m.schedule_family(), Family::OneFOneB);
         assert!(!m.is_adaptive());
         assert!(!m.saves_everything());
         assert_eq!(m.to_string(), "DAPPLE-Selective");

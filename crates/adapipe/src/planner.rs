@@ -11,7 +11,8 @@ use adapipe_partition::subcache::ClassTables;
 use adapipe_partition::{algorithm1, f1b_iteration_time, F1bBreakdown, KnapsackCostProvider};
 use adapipe_profiler::{ProfileTable, Profiler};
 use adapipe_recompute::{strategy, RecomputeStrategy, StageCost};
-use adapipe_sim::{schedule, simulate, StageExec};
+use adapipe_sim::schedule::{self, Family, ShapeError};
+use adapipe_sim::{simulate, StageExec};
 use adapipe_units::{convert, Bytes, Flops, FlopsPerSec};
 use std::sync::Arc;
 
@@ -199,17 +200,14 @@ impl Planner {
         let ctx = self.context(parallel, train);
         let p = parallel.pipeline();
 
-        if method.is_chimera() {
-            if !p.is_multiple_of(2) {
-                return Err(PlanError::Unsupported {
-                    reason: format!("chimera needs an even pipeline size, got {p}"),
-                });
-            }
-            if !ctx.n.is_multiple_of(p) {
-                return Err(PlanError::Unsupported {
-                    reason: format!("chimera needs n divisible by p ({} vs {p})", ctx.n),
-                });
-            }
+        if let Err(e) = schedule::check_shape(method.schedule_family(), p, ctx.n) {
+            let reason = match e {
+                ShapeError::RaggedUnits { n, p } => {
+                    format!("chimera needs n divisible by p ({n} vs {p})")
+                }
+                e => e.to_string(),
+            };
+            return Err(PlanError::Unsupported { reason });
         }
 
         let stages = match method {
@@ -412,18 +410,14 @@ impl Planner {
         let p = plan.parallel.pipeline();
         let execs: Vec<StageExec> = plan.stages.iter().map(StagePlan::exec).collect();
         let p2p = self.cluster.p2p_time(ctx.table.boundary_bytes());
-        match plan.method {
-            Method::GpipeFull | Method::GpipeNone => schedule::gpipe(&execs, ctx.n, p2p),
-            Method::ChimeraFull | Method::ChimeraNone => {
-                schedule::chimera(&execs, ctx.n, p2p, false)
+        match plan.method.schedule_family() {
+            Family::Gpipe => schedule::gpipe(&execs, ctx.n, p2p),
+            Family::Chimera => {
+                let doubling = matches!(plan.method, Method::ChimeraDFull | Method::ChimeraDNone);
+                schedule::chimera(&execs, ctx.n, p2p, doubling)
             }
-            Method::ChimeraDFull | Method::ChimeraDNone => {
-                schedule::chimera(&execs, ctx.n, p2p, true)
-            }
-            Method::InterleavedFull | Method::InterleavedNone => {
-                schedule::interleaved(&execs, p, ctx.n, p2p)
-            }
-            _ => schedule::one_f_one_b(&execs, ctx.n, p2p),
+            Family::Interleaved => schedule::interleaved(&execs, p, ctx.n, p2p),
+            Family::OneFOneB => schedule::one_f_one_b(&execs, ctx.n, p2p),
         }
     }
 
@@ -448,18 +442,6 @@ impl Planner {
         assert_eq!(plan.stages.len(), vp, "plan stage count mismatch");
 
         let graph = self.build_schedule(plan, &ctx);
-        // Evaluate-boundary self-check: the generated task graph must be
-        // statically executable (acyclic, fixed-order-feasible) before
-        // the engine runs it — the engine's own deadlock panic fires too
-        // late to say *why*.
-        #[cfg(debug_assertions)]
-        {
-            let diags = adapipe_check::check_task_graph(&graph);
-            debug_assert!(
-                diags.is_empty(),
-                "schedule generator emitted an invalid task graph: {diags:?}"
-            );
-        }
         let mut report = {
             let _span = self.rec.span_cat(keys::SPAN_EVALUATE_SIMULATE, "planner");
             match simulate(&graph, &self.rec) {
@@ -563,12 +545,8 @@ pub(crate) fn stage_plan(
 /// The analytic Eq. (3) breakdown of `plan`, or `None` for the schedules
 /// that model does not cover (GPipe, interleaved, Chimera).
 pub(crate) fn predicted_breakdown(plan: &Plan) -> Option<F1bBreakdown> {
-    match plan.method {
-        Method::GpipeFull | Method::GpipeNone => None,
-        Method::InterleavedFull | Method::InterleavedNone => None,
-        m if m.is_chimera() => None,
-        _ => Some(f1b_iteration_time(&plan.stage_times(), plan.n_microbatches)),
-    }
+    (plan.method.schedule_family() == Family::OneFOneB)
+        .then(|| f1b_iteration_time(&plan.stage_times(), plan.n_microbatches))
 }
 
 /// Static bytes hosted for stage `s` of a `method` plan over `ranges`.
@@ -578,7 +556,7 @@ pub(crate) fn predicted_breakdown(plan: &Plan) -> Option<F1bBreakdown> {
 /// pair, so ZeRO shards the optimizer states across them.
 fn static_bytes(ctx: &Context, method: Method, ranges: &[LayerRange], s: usize) -> Bytes {
     let range = ranges[s];
-    if method.is_chimera() {
+    if method.schedule_family() == Family::Chimera {
         let p = ranges.len();
         let (pg_a, opt_a) = ctx.mem.static_bytes_split(&ctx.seq, range);
         let (pg_b, opt_b) = ctx.mem.static_bytes_split(&ctx.seq, ranges[p - 1 - s]);

@@ -11,7 +11,6 @@
 //! `adapipe verify --plan FILE` exposes the same pass on the CLI, and
 //! the planner re-runs it on every plan it emits in debug builds.
 
-use crate::method::Method;
 use crate::plan::Plan;
 use crate::planner::{stage_plan, Context, Planner};
 use adapipe_check::{
@@ -20,6 +19,7 @@ use adapipe_check::{
 };
 use adapipe_model::LayerRange;
 use adapipe_partition::KnapsackCostProvider;
+use adapipe_sim::schedule;
 
 /// Tuning for a verification pass.
 #[derive(Debug, Clone, Copy)]
@@ -129,12 +129,13 @@ impl Planner {
             report.extend(check_breakdown(&plan.stage_times(), n, bd, opts.tolerance));
         }
 
-        match schedule_preconditions(plan.method, p, n) {
-            Ok(()) => {
-                let graph = self.build_schedule(plan, &ctx);
-                report.extend(check_task_graph(&graph));
-            }
-            Err(msg) => report.push(Diagnostic::error(CheckCode::MicrobatchCount, None, msg)),
+        match schedule::check_shape(plan.method.schedule_family(), p, n) {
+            Ok(()) => report.extend(check_task_graph(&self.build_schedule(plan, &ctx))),
+            Err(e) => report.push(Diagnostic::error(
+                CheckCode::MicrobatchCount,
+                None,
+                e.to_string(),
+            )),
         }
 
         if plan.method.is_adaptive() && ranges_in_bounds {
@@ -169,39 +170,10 @@ impl Planner {
     }
 }
 
-/// Whether `method`'s schedule generator can build a graph at all for
-/// this `(p, n)`; mirrors the generators' own preconditions so the
-/// verifier reports a diagnostic where they would panic.
-fn schedule_preconditions(method: Method, p: usize, n: usize) -> Result<(), String> {
-    if method.is_chimera() {
-        if !p.is_multiple_of(2) {
-            return Err(format!("chimera needs an even pipeline size, got {p}"));
-        }
-        if n == 0 || !n.is_multiple_of(p) {
-            return Err(format!(
-                "chimera needs n to be a positive multiple of p (n={n}, p={p})"
-            ));
-        }
-        return Ok(());
-    }
-    match method {
-        Method::GpipeFull | Method::GpipeNone => {
-            if n == 0 {
-                return Err("GPipe needs at least one micro-batch".to_string());
-            }
-        }
-        _ => {
-            if n < p {
-                return Err(format!("1F1B needs n >= p (n={n}, p={p})"));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::method::Method;
     use adapipe_hw::presets as hw;
     use adapipe_model::{presets, ParallelConfig, TrainConfig};
 
@@ -234,16 +206,5 @@ mod tests {
         let report = planner.verify(&plan);
         assert!(report.has_code(CheckCode::StageCount), "{report}");
         Ok(())
-    }
-
-    #[test]
-    fn schedule_preconditions_mirror_generators() {
-        assert!(schedule_preconditions(Method::DappleFull, 4, 3).is_err());
-        assert!(schedule_preconditions(Method::DappleFull, 4, 4).is_ok());
-        assert!(schedule_preconditions(Method::ChimeraFull, 3, 6).is_err());
-        assert!(schedule_preconditions(Method::ChimeraFull, 4, 6).is_err());
-        assert!(schedule_preconditions(Method::ChimeraFull, 4, 8).is_ok());
-        assert!(schedule_preconditions(Method::GpipeFull, 4, 1).is_ok());
-        assert!(schedule_preconditions(Method::GpipeFull, 4, 0).is_err());
     }
 }

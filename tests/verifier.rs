@@ -9,12 +9,18 @@
 //!   4. cyclic task dependencies       → `cycle-detected`
 //!   5. wrong stage count              → `stage-count`
 //!   6. tampered analytic breakdown    → `breakdown-drift`
+//!   7. reordered fixed-order script   → `device-order-deadlock`
+//!
+//! The task-graph check must also agree with the engine it stands in
+//! for: it reports a deadlock exactly when `simulate` returns one.
 
-use adapipe::{CheckCode, Method, Plan, Planner, VerifyOptions};
+use adapipe::{CheckCode, Method, Plan, Planner, Recorder, VerifyOptions};
 use adapipe_check::check_task_graph;
 use adapipe_hw::presets as hw;
 use adapipe_model::{presets, LayerRange, ParallelConfig, TrainConfig};
-use adapipe_sim::{Discipline, OpKind, TaskGraph, TaskMeta};
+use adapipe_sim::{
+    schedule, simulate, Discipline, OpKind, SimError, StageExec, TaskGraph, TaskMeta,
+};
 use adapipe_units::{Bytes, MicroSecs};
 use proptest::prelude::*;
 
@@ -216,6 +222,116 @@ fn corruption_cyclic_dependency_is_rejected() {
         diags.iter().any(|d| d.code == CheckCode::CycleDetected),
         "cycle not detected: {diags:?}"
     );
+}
+
+#[test]
+fn corruption_swapped_script_is_rejected() -> TestResult {
+    // A real 1F1B plan's graph with stage 1's F and B of micro-batch 5
+    // trading script places: B then heads F in the device's queue, but
+    // waits on it through stages 2 and 3.
+    let (_, plan) = valid_plan(Method::DappleFull)?;
+    let execs: Vec<StageExec> = plan
+        .stages
+        .iter()
+        .map(|st| StageExec {
+            time_f: st.cost.time_f,
+            time_b: st.cost.time_b,
+            saved_bytes: st.cost.saved_bytes_per_mb,
+            buffer_bytes: st.memory.buffer_bytes,
+        })
+        .collect();
+    let mut g = schedule::one_f_one_b(&execs, plan.n_microbatches, MicroSecs::new(0.5));
+    assert!(check_task_graph(&g).is_empty());
+    let find = |kind| {
+        (0..g.len())
+            .find(|&t| {
+                let m = g.task_meta(t);
+                (m.kind, m.micro_batch, m.stage) == (kind, 5, 1)
+            })
+            .ok_or("task not found")
+    };
+    let (f, b) = (find(OpKind::Forward)?, find(OpKind::Backward)?);
+    g.swap_priorities(f, b);
+    let diags = check_task_graph(&g);
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.code == CheckCode::DeviceOrderDeadlock),
+        "swapped script accepted: {diags:?}"
+    );
+    assert!(
+        matches!(
+            simulate(&g, &Recorder::disabled()),
+            Err(SimError::Deadlock { .. })
+        ),
+        "the engine ran the swapped script"
+    );
+    Ok(())
+}
+
+/// Per-stage profiles of a small pipeline with uneven stages.
+fn execs(count: usize) -> Vec<StageExec> {
+    (0..count)
+        .map(|s| StageExec {
+            time_f: MicroSecs::new(1.0 + (s % 3) as f64),
+            time_b: MicroSecs::new(2.0 + (s % 2) as f64),
+            saved_bytes: Bytes::new(10),
+            buffer_bytes: Bytes::new(1),
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The static check reports `cycle-detected` or
+    /// `device-order-deadlock` exactly when the engine deadlocks, on
+    /// every generator's graphs and on seeded mutations of them: two
+    /// tasks of one device trading priorities, or one extra dependency.
+    #[test]
+    fn task_graph_check_agrees_with_the_engine(
+        family in 0usize..4,
+        p_seed in 1usize..=5,
+        n_seed in 1usize..=3,
+        extra in 0usize..4,
+        mutation in 0usize..3,
+        a in 0usize..100_000,
+        b in 0usize..100_000,
+    ) {
+        let p2p = MicroSecs::new(0.25);
+        let mut g = match family {
+            0 => schedule::one_f_one_b(&execs(p_seed), p_seed * n_seed + extra, p2p),
+            1 => schedule::gpipe(&execs(p_seed), n_seed + extra, p2p),
+            2 => {
+                let p = 2 * p_seed.div_ceil(2);
+                schedule::chimera(&execs(p), p * n_seed, p2p, extra % 2 == 1)
+            }
+            _ => {
+                let v = 1 + extra % 2;
+                schedule::interleaved(&execs(v * p_seed), p_seed, p_seed * n_seed + extra, p2p)
+            }
+        };
+        match mutation {
+            1 => {
+                let queues = g.device_queues();
+                let queue = &queues[a % queues.len()];
+                if !queue.is_empty() {
+                    g.swap_priorities(queue[a / 7 % queue.len()], queue[b % queue.len()]);
+                }
+            }
+            2 => g.add_dep(a % g.len(), b % g.len(), MicroSecs::ZERO),
+            _ => {}
+        }
+        let flagged = check_task_graph(&g).iter().any(|d| {
+            matches!(d.code, CheckCode::CycleDetected | CheckCode::DeviceOrderDeadlock)
+        });
+        let deadlocked = matches!(
+            simulate(&g, &Recorder::disabled()),
+            Err(SimError::Deadlock { .. })
+        );
+        prop_assert_eq!(flagged, deadlocked, "{} mutation {}", g.name(), mutation);
+        prop_assert!(mutation != 0 || !deadlocked, "{} deadlocked unmutated", g.name());
+    }
 }
 
 #[test]
