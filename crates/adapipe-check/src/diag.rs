@@ -58,10 +58,6 @@ pub enum CheckCode {
     DeviceOrderDeadlock,
     /// A task has a negative duration.
     TaskDuration,
-    /// A stage window shares its §5.3 isomorphism class with a window
-    /// whose knapsack inputs differ, so the class's cached leaf cost
-    /// need not be the window's own.
-    IsoCacheDivergence,
     /// Plan units metadata contradicts this build's conventions
     /// (time in microseconds, memory in bytes); accepting such a plan
     /// would silently rescale every Eq. (1)–(3) quantity.
@@ -94,7 +90,6 @@ impl CheckCode {
             CheckCode::CycleDetected => "cycle-detected",
             CheckCode::DeviceOrderDeadlock => "device-order-deadlock",
             CheckCode::TaskDuration => "task-duration",
-            CheckCode::IsoCacheDivergence => "iso-cache-divergence",
             CheckCode::UnitMismatch => "unit-mismatch",
             CheckCode::OptimalityGap => "optimality-gap",
             CheckCode::CertificateInvalid => "certificate-invalid",

@@ -13,10 +13,13 @@
 //! with the warmup/ending/steady recurrences of Equation (3) and
 //! Algorithm 1. Two §5.3 optimizations are implemented:
 //!
-//! * **Isomorphism caching** — windows with the same length, the same
-//!   initial layer kind and the same "touches the last layer" flag have
-//!   identical layer sequences (transformers are homogeneous), so the
-//!   knapsack result is computed once per equivalence class.
+//! * **Isomorphism caching** — windows of one stage with the same layer
+//!   contents (layer kinds and bit-exact unit profiles) feed the knapsack
+//!   the same items and budget, so its result is computed once per such
+//!   class. The paper's rule, same length and initial layer kind, is the
+//!   special case of a profile table uniform per layer kind, which every
+//!   analytic table is; on a measured table each window keeps its own
+//!   leaf cost.
 //! * **GCD rescaling** — inherited from the knapsack itself.
 //!
 //! On top of those, two engine-level accelerations (docs/parallel.md)

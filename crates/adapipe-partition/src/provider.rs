@@ -3,8 +3,9 @@
 //!
 //! [`KnapsackCostProvider`] is shareable concurrent state (`Sync`):
 //! the §5.3 isomorphism cache is a dense table of write-once `OnceLock`
-//! slots and the hit/miss counters are atomics, so leaf evaluations can
-//! fan out over an [`adapipe_exec::ExecPool`] (see
+//! slots, one per stage and class of windows with the same layer
+//! contents ([`ClassTable`]), and the hit/miss counters are atomics, so
+//! leaf evaluations can fan out over an [`adapipe_exec::ExecPool`] (see
 //! [`KnapsackCostProvider::prefill`]) while Algorithm 1 itself stays
 //! serial — which is what keeps plans byte-identical at any thread
 //! count. The same property lets the daemon share one filled table
@@ -14,7 +15,7 @@ use crate::cost::StageTimes;
 use crate::subcache::ClassTables;
 use adapipe_exec::{CacheStats, ExecError, ExecPool};
 use adapipe_memory::MemoryModel;
-use adapipe_model::{LayerKind, LayerRange, LayerSeq};
+use adapipe_model::{LayerRange, LayerSeq};
 use adapipe_obs::{keys, Recorder};
 use adapipe_profiler::{ProfileTable, UnitProfile};
 use adapipe_recompute::strategy::cost_of;
@@ -57,19 +58,17 @@ pub trait StageCostProvider {
     fn stage_times(&self, stage: usize, range: LayerRange) -> Option<StageTimes>;
 }
 
-/// What a feasible leaf costs and chose: its forward/backward times,
-/// the first layer of the window that filled the slot and its saved
-/// flags, packed 64 to a word (as `bool`s they raised the paper-scale
-/// daemon's peak RSS by 3–8 MB).
+/// What a feasible leaf costs and chose: its forward/backward times and
+/// its saved flags, packed 64 to a word (as `bool`s they raised the
+/// paper-scale daemon's peak RSS by 3–8 MB).
 #[derive(Debug)]
 struct Chosen {
     times: StageTimes,
-    first: usize,
     saved: Box<[u64]>,
 }
 
 impl Chosen {
-    fn new(first: usize, leaf: &OptimizedStage) -> Self {
+    fn new(leaf: &OptimizedStage) -> Self {
         let strategy = &leaf.strategy;
         let mut saved = vec![0u64; strategy.len().div_ceil(64)];
         for (i, flag) in strategy.iter().enumerate() {
@@ -79,7 +78,6 @@ impl Chosen {
         }
         Chosen {
             times: StageTimes::from(&leaf.cost),
-            first,
             saved: saved.into_boxed_slice(),
         }
     }
@@ -95,47 +93,24 @@ impl Chosen {
     }
 }
 
-/// The §5.3 class of `range` within one stage, numbered `0 .. 4L − 3`:
-/// windows that stop before the last layer are keyed by first-layer
-/// kind and length, windows that reach it by length alone. `None` for a
-/// window past the sequence or one starting at the decoding head yet
-/// stopping short of it. The one statement of the class rule: the
-/// cache's slots and [`KnapsackCostProvider::isomorphism_violation`]
-/// both key on it.
-fn iso_class(seq: &LayerSeq, range: LayerRange) -> Option<usize> {
-    let l = seq.len();
-    if range.last >= l {
-        return None;
-    }
-    let len = range.len();
-    if range.last == l - 1 {
-        return Some(3 * (l - 1) + len - 1);
-    }
-    let kind = match seq.layer(range.first).kind {
-        LayerKind::Embedding => 0,
-        LayerKind::Attention => 1,
-        LayerKind::FeedForward => 2,
-        LayerKind::DecodingHead => return None,
-    };
-    Some(kind * (l - 1) + len - 1)
-}
-
 /// The §5.3 isomorphism cache as a dense table of write-once slots.
-/// Within a homogeneous transformer, two layer windows with equal
-/// length, equal first-layer kind and the same "reaches the final
-/// layer" flag contain identical layer sequences, so per stage the
-/// classes are:
 ///
-/// * windows that stop before the last layer: one slot per first-layer
-///   kind that can start one (embedding, attention, feed-forward) and
-///   length `1..L`;
-/// * windows that reach the last layer: one slot per length `1..=L`
-///   (the length fixes the first layer, hence its kind).
+/// The class rule: two windows of one stage share a slot exactly when
+/// they hold the same layer contents — layer by layer the same kind and
+/// the same unit profiles (unit kinds and bit-exact `time_f`, `time_b`
+/// and `mem_saved`; the layer index a unit records aside). Those are
+/// everything a leaf reads: the knapsack's items, and the static bytes
+/// and recompute buffer its activation budget subtracts. The paper's
+/// rule, equal length and first-layer kind, is the special case of a
+/// table that is uniform per layer kind, which every analytic table
+/// is: there the classes are exactly its (first-layer kind, length,
+/// reaches the last layer) triples.
 ///
-/// That is `4L − 3` slots per stage, indexed arithmetically. Queries the
-/// table has no slot for — a stage past the pipeline, a window past the
-/// sequence, or one starting at the decoding head yet stopping short of
-/// it — are answered uncached.
+/// Windows are numbered by content ([`number_windows`]), and the class
+/// of every window sits in one flat `Vec<u32>` (4 B per window: ~74 KB
+/// for GPT-3's L = 194); a slot is indexed `stage × classes + class`.
+/// Queries the table has no slot for — a stage past the pipeline or a
+/// window past the sequence — are answered uncached.
 ///
 /// Each slot is one `OnceLock`: unset while empty, `None` for a leaf
 /// that cannot fit even under full recomputation, else the leaf's
@@ -143,48 +118,70 @@ fn iso_class(seq: &LayerSeq, range: LayerRange) -> Option<usize> {
 /// instead of solving it again. Racing writers of one class store
 /// identical leaves (leaves are pure); the loser's is dropped.
 ///
-/// The slots are allocated on first use, not with the provider:
-/// allocated at construction, the table raised the paper-scale
-/// daemon's peak RSS from ~17.7 to 19–22 MB (allocator fragmentation;
-/// `perfbench` `serve-paper-miss` on a 2-core host), and allocated on
-/// first use it leaves it at ~17.7 MB.
+/// The table counts its classes when built, but allocates the class
+/// map and the slots on first use, which in a plan comes after the
+/// prefill's window list. Allocated with the table, the class map
+/// raised the paper-scale daemon's peak RSS from 14.5–14.9 to 16.3–16.5
+/// MB, and the map with the slots to 18.0–18.3 MB (allocator
+/// fragmentation; `perfbench` `serve-paper-miss` on a 2-core host).
 ///
-/// A table serves exactly one `(L, p)`, so once a prefill over
+/// A table serves exactly one instance, so once a prefill over
 /// [`algorithm1::reachable_windows`](crate::algorithm1::reachable_windows)
-/// has returned, every slot Algorithm 1 can query is filled (but for a
-/// lone empty class, which prefill leaves to the DP) and the table is
-/// *swept*: a later prefill would scan ~120k windows only to find that
-/// ([`KnapsackCostProvider::sweep`]).
+/// has returned, every slot Algorithm 1 can query is filled and the
+/// table is *swept*: a later prefill would scan ~120k windows only to
+/// find that ([`KnapsackCostProvider::sweep`]).
 #[derive(Debug)]
 pub(crate) struct ClassTable {
     layers: usize,
     stages: usize,
+    classes: usize,
+    /// The class of every window, length by length: window `[first ..
+    /// first + len)` at [`ClassTable::window`]`(first, len)`.
+    class_of: OnceLock<Vec<u32>>,
     slots: OnceLock<Vec<OnceLock<Option<Chosen>>>>,
     swept: AtomicBool,
 }
 
 impl ClassTable {
-    /// A table for `stages` stages of a `layers`-layer sequence.
-    pub(crate) fn new(layers: usize, stages: usize) -> Self {
+    /// The table for `stages` stages of `seq`, profiled in `table`.
+    pub(crate) fn new(seq: &LayerSeq, table: &ProfileTable, stages: usize) -> Self {
         ClassTable {
-            layers,
+            layers: seq.len(),
             stages,
+            classes: number_windows(&layer_shapes(seq, table), |_| {}),
+            class_of: OnceLock::new(),
             slots: OnceLock::new(),
             swept: AtomicBool::new(false),
         }
     }
 
-    fn stride(layers: usize) -> usize {
-        (4 * layers).saturating_sub(3)
+    /// The class map of `seq` profiled in `table`: the instance the
+    /// table was built for, whichever of its providers asks first.
+    fn class_of(&self, seq: &LayerSeq, table: &ProfileTable) -> &[u32] {
+        self.class_of.get_or_init(|| {
+            let mut class_of = Vec::with_capacity(self.layers * (self.layers + 1) / 2);
+            number_windows(&layer_shapes(seq, table), |class| class_of.push(class));
+            class_of
+        })
+    }
+
+    /// Where window `[first .. first + len)` of a `layers`-layer
+    /// sequence sits in `class_of`: after the `layers − k + 1` windows
+    /// of each shorter length `k`.
+    fn window(layers: usize, first: usize, len: usize) -> usize {
+        (len - 1) * (2 * layers + 2 - len) / 2 + first
     }
 
     fn len(&self) -> usize {
-        self.stages * Self::stride(self.layers)
+        self.stages * self.classes
     }
 
-    /// Bytes of the slot array (the flags of filled slots come on top).
+    /// Bytes of the class map and the slot array (the flags of filled
+    /// slots come on top).
     pub(crate) fn bytes(&self) -> u64 {
-        convert::usize_u64(self.len() * std::mem::size_of::<OnceLock<Option<Chosen>>>())
+        let slot = std::mem::size_of::<OnceLock<Option<Chosen>>>();
+        let map = self.layers * (self.layers + 1) / 2 * std::mem::size_of::<u32>();
+        convert::usize_u64(map + self.len() * slot)
     }
 
     fn slots(&self) -> &[OnceLock<Option<Chosen>>] {
@@ -192,12 +189,20 @@ impl ClassTable {
             .get_or_init(|| (0..self.len()).map(|_| OnceLock::new()).collect())
     }
 
-    /// The slot of `(stage, range)`'s isomorphism class, if it has one.
-    fn index(&self, seq: &LayerSeq, stage: usize, range: LayerRange) -> Option<usize> {
-        let slot = stage
-            .checked_mul(Self::stride(self.layers))?
-            .checked_add(iso_class(seq, range)?)?;
-        (slot < self.len()).then_some(slot)
+    /// The slot of `(stage, range)`'s class, if it has one.
+    fn index(
+        &self,
+        seq: &LayerSeq,
+        table: &ProfileTable,
+        stage: usize,
+        range: LayerRange,
+    ) -> Option<usize> {
+        if stage >= self.stages || range.last >= self.layers {
+            return None;
+        }
+        let window = Self::window(self.layers, range.first, range.len());
+        let class = *self.class_of(seq, table).get(window)?;
+        Some(stage * self.classes + convert::u32_usize(class))
     }
 
     /// The cached answer in `slot`: `None` while empty, `Some(None)`
@@ -207,11 +212,10 @@ impl ClassTable {
         Some(leaf.as_ref().map(|chosen| chosen.times))
     }
 
-    /// Stores the leaf solved for the window starting at layer `first`,
-    /// unless the slot is already filled.
-    fn set(&self, slot: usize, first: usize, leaf: Option<&OptimizedStage>) {
+    /// Stores `leaf` in `slot`, unless the slot is already filled.
+    fn set(&self, slot: usize, leaf: Option<&OptimizedStage>) {
         // A racing writer of the class stored the same leaf.
-        let _same = self.slots()[slot].set(leaf.map(|opt| Chosen::new(first, opt)));
+        let _same = self.slots()[slot].set(leaf.map(Chosen::new));
     }
 }
 
@@ -226,9 +230,10 @@ pub struct KnapsackCostProvider<'a> {
     mem: &'a MemoryModel,
     capacity: Bytes,
     rec: Recorder,
-    classes: Arc<ClassTable>,
-    /// [`layer_shapes`] of `table`, computed on first use.
-    shapes: OnceLock<Vec<usize>>,
+    /// The instance's table in a [`ClassTables`], else a private one
+    /// built on first use, so a provider handed shared tables never
+    /// numbers the windows itself.
+    classes: OnceLock<Arc<ClassTable>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -249,8 +254,7 @@ impl<'a> KnapsackCostProvider<'a> {
             mem,
             capacity,
             rec: Recorder::disabled(),
-            classes: Arc::new(ClassTable::new(seq.len(), mem.parallel().pipeline())),
-            shapes: OnceLock::new(),
+            classes: OnceLock::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -262,7 +266,8 @@ impl<'a> KnapsackCostProvider<'a> {
     /// returns for its class.
     #[must_use]
     pub fn with_class_tables(mut self, tables: &ClassTables) -> Self {
-        self.classes = tables.table_for(self.seq, self.table, self.mem, self.capacity);
+        let shared = tables.table_for(self.seq, self.table, self.mem, self.capacity);
+        self.classes = OnceLock::from(shared);
         self
     }
 
@@ -296,6 +301,13 @@ impl<'a> KnapsackCostProvider<'a> {
         self.capacity
     }
 
+    fn classes(&self) -> &ClassTable {
+        self.classes.get_or_init(|| {
+            let stages = self.mem.parallel().pipeline();
+            Arc::new(ClassTable::new(self.seq, self.table, stages))
+        })
+    }
+
     /// Runs the full knapsack for one concrete stage assignment,
     /// returning the chosen strategy. Never consults or fills the §5.3
     /// class table, so it is the uncached leaf every cached answer is
@@ -321,13 +333,13 @@ impl<'a> KnapsackCostProvider<'a> {
     }
 
     /// The stage Algorithm 1 costed for `(stage, range)`, to materialize
-    /// the final plan: rebuilt from the saved flags of `range`'s class
-    /// slot against `range`'s own units when the window that filled the
-    /// slot has the same knapsack items and budget (a `subcache.hits`),
-    /// else solved by [`KnapsackCostProvider::optimize_stage`] (a
-    /// `subcache.misses`). Equal to `optimize_stage` either way: the
-    /// knapsack is a function of the items and the budget, and costs
-    /// are recomputed from the units.
+    /// the final plan: rebuilt from the saved flags of `range`'s filled
+    /// class slot against `range`'s own units (a `subcache.hits`), else
+    /// solved by [`KnapsackCostProvider::optimize_stage`] (a
+    /// `subcache.misses`). Equal to `optimize_stage` either way: every
+    /// window of a class feeds the knapsack the same items and budget,
+    /// the knapsack is a function of those, and costs are recomputed
+    /// from the units.
     ///
     /// # Errors
     ///
@@ -337,7 +349,7 @@ impl<'a> KnapsackCostProvider<'a> {
         stage: usize,
         range: LayerRange,
     ) -> Result<OptimizedStage, StrategyError> {
-        let slot = self.classes.index(self.seq, stage, range);
+        let slot = self.classes().index(self.seq, self.table, stage, range);
         if let Some(opt) = slot.and_then(|slot| self.rebuild(slot, stage, range)) {
             self.rec.incr(keys::SUBCACHE_HITS);
             return Ok(opt);
@@ -346,14 +358,10 @@ impl<'a> KnapsackCostProvider<'a> {
         self.optimize_stage(stage, range)
     }
 
-    /// `range`'s stage rebuilt from `slot`'s flags, if the window that
-    /// filled the slot feeds the knapsack the same items and budget.
+    /// `range`'s stage rebuilt from `slot`'s flags, if the slot holds a
+    /// feasible leaf.
     fn rebuild(&self, slot: usize, stage: usize, range: LayerRange) -> Option<OptimizedStage> {
-        let chosen = self.classes.slots()[slot].get()?.as_ref()?;
-        let filler = LayerRange::new(chosen.first, chosen.first + range.len() - 1);
-        if !self.same_inputs(stage, filler, range) {
-            return None;
-        }
+        let chosen = self.classes().slots()[slot].get()?.as_ref()?;
         let budget = self.budget(stage, range)?;
         let units = self.table.units_in(range);
         let strategy = RecomputeStrategy::from_flags(&units, chosen.flags(units.len()));
@@ -363,44 +371,6 @@ impl<'a> KnapsackCostProvider<'a> {
             strategy,
             cost,
         })
-    }
-
-    /// Checks the §5.3 premise for `range` at `stage`: every window
-    /// sharing its class slot must feed the knapsack the same inputs —
-    /// per layer the unit kinds and bit-exact `time_f`, `time_b` and
-    /// `mem_saved` (layer indices aside) — and get the same activation
-    /// budget.
-    /// Returns the lowest-starting sibling that does not, whose leaf cost
-    /// the slot may hold in place of `range`'s; `None` when the class is
-    /// sound for `range` or `range` has no slot (so is never shared).
-    ///
-    /// Solves no knapsack: layers are deduplicated by content once per
-    /// provider, then each sibling costs one slice comparison and two
-    /// budgets.
-    #[must_use]
-    pub fn isomorphism_violation(&self, stage: usize, range: LayerRange) -> Option<LayerRange> {
-        let slot = self.classes.index(self.seq, stage, range)?;
-        let len = range.len();
-        (0..=self.seq.len() - len)
-            .map(|first| LayerRange::new(first, first + len - 1))
-            .filter(|&r| self.classes.index(self.seq, stage, r) == Some(slot))
-            .find(|&r| !self.same_inputs(stage, range, r))
-    }
-
-    /// Whether windows `a` and `b` feed stage `stage`'s knapsack the
-    /// same inputs: per layer the same items (equal slices of
-    /// [`layer_shapes`], computed once per provider) and the same
-    /// activation budget. The one statement of the rule: materialize
-    /// rebuilds a slot's flags only into a window that passes it, and
-    /// [`KnapsackCostProvider::isomorphism_violation`] names a sibling
-    /// that fails it.
-    fn same_inputs(&self, stage: usize, a: LayerRange, b: LayerRange) -> bool {
-        let shapes = self.shapes.get_or_init(|| layer_shapes(self.table));
-        let items = |r: LayerRange| shapes.get(r.first..=r.last);
-        a == b
-            || (items(a).is_some()
-                && items(a) == items(b)
-                && self.budget(stage, a) == self.budget(stage, b))
     }
 
     fn budget(&self, stage: usize, range: LayerRange) -> Option<Bytes> {
@@ -433,23 +403,23 @@ impl<'a> KnapsackCostProvider<'a> {
         if pool.threads() < 2 {
             return Ok(0);
         }
-        let mut claimed = vec![false; self.classes.len()];
+        let classes = self.classes();
+        let mut claimed = vec![false; classes.len()];
         let mut reps: Vec<(usize, usize, LayerRange)> = Vec::new();
         for &(stage, range) in windows {
-            let Some(slot) = self.classes.index(self.seq, stage, range) else {
+            let Some(slot) = classes.index(self.seq, self.table, stage, range) else {
                 continue;
             };
-            if !claimed[slot] && self.classes.get(slot).is_none() {
+            if !claimed[slot] && classes.get(slot).is_none() {
                 claimed[slot] = true;
                 reps.push((slot, stage, range));
             }
         }
-        if reps.len() < 2 {
+        if reps.is_empty() {
             return Ok(0);
         }
         pool.map(&reps, |&(slot, stage, range)| {
-            self.classes
-                .set(slot, range.first, self.compute(stage, range).as_ref());
+            classes.set(slot, self.compute(stage, range).as_ref());
         })?;
         self.misses
             .fetch_add(convert::usize_u64(reps.len()), Ordering::Relaxed);
@@ -461,7 +431,7 @@ impl<'a> KnapsackCostProvider<'a> {
     /// an earlier provider of the same shared table.
     #[must_use]
     pub fn is_swept(&self) -> bool {
-        self.classes.swept.load(Ordering::Acquire)
+        self.classes().swept.load(Ordering::Acquire)
     }
 
     /// [`KnapsackCostProvider::prefill`] over every window
@@ -486,11 +456,11 @@ impl<'a> KnapsackCostProvider<'a> {
         if pool.threads() < 2 {
             return Ok(0);
         }
-        let windows = crate::algorithm1::reachable_windows(self.seq.len(), self.classes.stages);
+        let windows = crate::algorithm1::reachable_windows(self.seq.len(), self.classes().stages);
         let computed = self.prefill(pool, &windows)?;
         // `pool.map` has joined every slot store; this Release pairs
         // with the Acquire in `is_swept`.
-        self.classes.swept.store(true, Ordering::Release);
+        self.classes().swept.store(true, Ordering::Release);
         Ok(computed)
     }
 
@@ -508,15 +478,16 @@ impl<'a> KnapsackCostProvider<'a> {
 
 impl StageCostProvider for KnapsackCostProvider<'_> {
     fn stage_times(&self, stage: usize, range: LayerRange) -> Option<StageTimes> {
-        let slot = self.classes.index(self.seq, stage, range);
-        if let Some(cached) = slot.and_then(|slot| self.classes.get(slot)) {
+        let classes = self.classes();
+        let slot = classes.index(self.seq, self.table, stage, range);
+        if let Some(cached) = slot.and_then(|slot| classes.get(slot)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return cached;
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let leaf = self.compute(stage, range);
         if let Some(slot) = slot {
-            self.classes.set(slot, range.first, leaf.as_ref());
+            classes.set(slot, leaf.as_ref());
         }
         leaf.map(|opt| StageTimes::from(&opt.cost))
     }
@@ -538,21 +509,72 @@ impl Drop for KnapsackCostProvider<'_> {
     }
 }
 
-/// Per layer of `table`, the first layer whose unit profiles are the
-/// same knapsack items: two windows feed the knapsack identical units
-/// exactly when their slices of this vector are equal.
-fn layer_shapes(table: &ProfileTable) -> Vec<usize> {
+/// Per layer of `seq`, its contents numbered in order of first
+/// appearance: two layers get one number exactly when they have the
+/// same kind and their units are the same knapsack items.
+fn layer_shapes(seq: &LayerSeq, table: &ProfileTable) -> Vec<usize> {
     let mut distinct: Vec<usize> = Vec::new();
-    (0..table.num_layers())
+    let same = |a: usize, b: usize| {
+        seq.layer(a).kind == seq.layer(b).kind
+            && same_items(table.layer_units(a), table.layer_units(b))
+    };
+    (0..seq.len())
         .map(|l| {
-            let units = table.layer_units(l);
-            let same = |&d: &usize| same_items(table.layer_units(d), units);
-            distinct.iter().copied().find(same).unwrap_or_else(|| {
-                distinct.push(l);
-                l
-            })
+            distinct
+                .iter()
+                .position(|&d| same(d, l))
+                .unwrap_or_else(|| {
+                    distinct.push(l);
+                    distinct.len() - 1
+                })
         })
         .collect()
+}
+
+/// Numbers the windows of a sequence whose layers have contents
+/// `shapes` ([`layer_shapes`]), length by length and, within a length,
+/// by first layer: a window's class interns the pair (class of the
+/// window one layer shorter, shape of its last layer), so two windows
+/// share a class exactly when their layers' shapes are equal. Calls
+/// `each` with every window's class in that order and returns the
+/// number of classes.
+fn number_windows(shapes: &[usize], mut each: impl FnMut(u32)) -> usize {
+    // An empty bucket: no layer has shape `u32::MAX`.
+    const EMPTY: u64 = u64::MAX;
+    let layers = shapes.len();
+    let (mut shorter, mut row) = (Vec::with_capacity(layers), Vec::with_capacity(layers));
+    // Per length, an open-addressing table of (pair, class): a
+    // `HashMap` took 0.4–0.7 ms per table, mostly hashing.
+    let mut buckets: Vec<(u64, u32)> = Vec::new();
+    let mut classes = 0u32;
+    for len in 1..=layers {
+        let windows = layers - len + 1;
+        let bits = (2 * windows).next_power_of_two().trailing_zeros();
+        buckets.clear();
+        buckets.resize(1 << bits, (EMPTY, 0));
+        row.clear();
+        for first in 0..windows {
+            let prefix = shorter.get(first).copied().unwrap_or(u32::MAX);
+            let pair = u64::from(prefix) << 32 | convert::usize_u64(shapes[first + len - 1]);
+            let hash = pair.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits);
+            let mut at = convert::u64_usize_saturating(hash);
+            let class = loop {
+                match buckets[at] {
+                    (EMPTY, _) => {
+                        buckets[at] = (pair, classes);
+                        classes += 1;
+                        break classes - 1;
+                    }
+                    (interned, class) if interned == pair => break class,
+                    _ => at = (at + 1) & (buckets.len() - 1),
+                }
+            };
+            row.push(class);
+            each(class);
+        }
+        std::mem::swap(&mut shorter, &mut row);
+    }
+    convert::u32_usize(classes)
 }
 
 /// Whether two layers' units are the same knapsack items: equal kinds
@@ -829,6 +851,46 @@ mod tests {
         }
     }
 
+    /// `fx`'s table with the first unit of each of `layers` made 1 µs
+    /// slower in backward, as a measured table would differ.
+    fn nudged(fx: &Fixture, layers: &[usize]) -> ProfileTable {
+        let per_layer = (0..fx.table.num_layers())
+            .map(|l| {
+                let mut units = fx.table.layer_units(l).to_vec();
+                if layers.contains(&l) {
+                    units[0].time_b += MicroSecs::new(1.0);
+                }
+                units
+            })
+            .collect();
+        ProfileTable::from_measurements(per_layer, fx.table.boundary_bytes()).unwrap()
+    }
+
+    /// How many distinct window contents `table` has — unit kinds and
+    /// bit-exact times and sizes, layer indices aside — counted by
+    /// brute force.
+    fn content_classes(table: &ProfileTable) -> u64 {
+        let l = table.num_layers();
+        let contents: std::collections::HashSet<Vec<_>> = (0..l)
+            .flat_map(|first| (first..l).map(move |last| LayerRange::new(first, last)))
+            .map(|r| {
+                let units = table.units_in(r);
+                units
+                    .iter()
+                    .map(|u| {
+                        let (f, b) = (u.time_f.as_micros(), u.time_b.as_micros());
+                        (u.unit.kind, f.to_bits(), b.to_bits(), u.mem_saved)
+                    })
+                    .collect()
+            })
+            .collect();
+        convert::usize_u64(contents.len())
+    }
+
+    /// The §5.3 law: with the class table, every `(stage, window)` gets
+    /// exactly the uncached `optimize_stage` leaf, and every feasible
+    /// stage is rebuilt from its slot, on the analytic table and on one
+    /// with nudged layers alike. Each class misses once.
     #[test]
     fn iso_cache_changes_nothing_but_hit_counts() {
         let fx = fixture(
@@ -836,126 +898,72 @@ mod tests {
             ParallelConfig::new(2, 4, 1).unwrap(),
             1024,
         );
-        let rec = Recorder::new();
-        let cached = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80))
-            .with_recorder(rec.clone());
         let l = fx.seq.len();
-        let (mut queries, mut feasible) = (0u64, 0u64);
-        for stage in 0..4 {
-            for first in 0..l {
-                for last in first..l {
-                    let r = LayerRange::new(first, last);
-                    // `optimize_stage` never touches the class table:
-                    // it is the uncached leaf.
-                    let solved = cached.optimize_stage(stage, r);
-                    let expect = solved.as_ref().ok().map(|opt| StageTimes::from(&opt.cost));
-                    assert_eq!(cached.stage_times(stage, r), expect, "stage {stage} {r}");
-                    // The stage rebuilt from the slot's flags is the
-                    // solved one, byte for byte.
-                    assert_eq!(
-                        cached.materialize_stage(stage, r),
-                        solved,
-                        "stage {stage} {r}"
-                    );
-                    feasible += u64::from(solved.is_ok());
-                    // The analytic table is uniform per layer kind, so
-                    // the §5.3 premise holds for every class.
-                    assert_eq!(
-                        cached.isomorphism_violation(stage, r),
-                        None,
-                        "stage {stage} {r}"
-                    );
-                    queries += 1;
+        // Classes per stage of the analytic `[embedding, (attention,
+        // feed-forward) × 12, head]`, uniform per layer kind: windows
+        // stopping short of the head start at the embedding (L − 1
+        // lengths), an attention half (L − 2) or a feed-forward half
+        // (L − 3); windows reaching it, one per length (L). That is the
+        // paper's (first-layer kind, length) rule.
+        let analytic = 4 * convert::usize_u64(l) - 6;
+        assert_eq!(content_classes(&fx.table), analytic);
+        // Two attention halves and a feed-forward half, deep inside.
+        let measured = nudged(&fx, &[9, 14, 21]);
+        let split = content_classes(&measured);
+        assert!(split > analytic, "{split}");
+        for (table, per_stage) in [(&fx.table, analytic), (&measured, split)] {
+            let rec = Recorder::new();
+            let cached = KnapsackCostProvider::new(&fx.seq, table, &fx.mem, Bytes::from_gib(80))
+                .with_recorder(rec.clone());
+            let (mut queries, mut feasible) = (0u64, 0u64);
+            for stage in 0..4 {
+                for first in 0..l {
+                    for last in first..l {
+                        let r = LayerRange::new(first, last);
+                        // `optimize_stage` never touches the class table:
+                        // it is the uncached leaf.
+                        let solved = cached.optimize_stage(stage, r);
+                        let expect = solved.as_ref().ok().map(|opt| StageTimes::from(&opt.cost));
+                        assert_eq!(cached.stage_times(stage, r), expect, "stage {stage} {r}");
+                        // The stage rebuilt from the slot's flags is the
+                        // solved one, byte for byte.
+                        assert_eq!(
+                            cached.materialize_stage(stage, r),
+                            solved,
+                            "stage {stage} {r}"
+                        );
+                        feasible += u64::from(solved.is_ok());
+                        queries += 1;
+                    }
                 }
             }
-        }
-        // Classes per stage of `[embedding, (attention, feed-forward)
-        // × 12, head]`: windows stopping short of the head start at the
-        // embedding (L − 1 lengths), an attention half (L − 2) or a
-        // feed-forward half (L − 3); windows reaching it, one per length
-        // (L). Each class misses once, every other query hits.
-        let classes = 4 * (4 * convert::usize_u64(l) - 6);
-        assert_eq!(
-            cached.cache_stats(),
-            CacheStats {
-                hits: queries - classes,
-                misses: classes,
-            }
-        );
-        // Every feasible stage was rebuilt from a slot, none re-solved.
-        let counters = rec.snapshot().counters;
-        assert!(feasible > 0);
-        assert_eq!(counters.get(keys::SUBCACHE_HITS), Some(&feasible));
-        let solved = counters.get(keys::SUBCACHE_MISSES).copied().unwrap_or(0);
-        assert_eq!(solved, queries - feasible);
-        // A stage past the pipeline has no slot: it is answered (no
-        // budget, so infeasible) and stays uncached.
-        let r = LayerRange::new(3, 6);
-        assert_eq!(cached.stage_times(4, r), None);
-        assert_eq!(cached.stage_times(4, r), None);
-        assert_eq!(
-            cached.cache_stats(),
-            CacheStats {
-                hits: queries - classes,
-                misses: classes + 2,
-            }
-        );
-    }
-
-    #[test]
-    fn isomorphism_violation_names_a_sibling_holding_the_nudged_layer() {
-        let fx = fixture(
-            presets::gpt2_small(),
-            ParallelConfig::new(2, 4, 1).unwrap(),
-            1024,
-        );
-        // Layer 9 is an attention half deep inside the sequence.
-        let nudged = 9;
-        let per_layer = (0..fx.table.num_layers())
-            .map(|l| {
-                let mut units = fx.table.layer_units(l).to_vec();
-                if l == nudged {
-                    units[0].time_b += MicroSecs::new(1.0);
+            let classes = 4 * per_stage;
+            assert_eq!(
+                cached.cache_stats(),
+                CacheStats {
+                    hits: queries - classes,
+                    misses: classes,
                 }
-                units
-            })
-            .collect();
-        let table = ProfileTable::from_measurements(per_layer, fx.table.boundary_bytes()).unwrap();
-        let rec = Recorder::new();
-        let p = KnapsackCostProvider::new(&fx.seq, &table, &fx.mem, Bytes::from_gib(80))
-            .with_recorder(rec.clone());
-        // Windows clear of layer 9 share their class with siblings that
-        // hold it, and the sibling named is one of those; a window
-        // holding it differs from every sibling.
-        let r = LayerRange::new(11, 14);
-        for (stage, window) in [(1, LayerRange::new(3, 6)), (2, r)] {
-            let sibling = p.isomorphism_violation(stage, window);
-            assert!(sibling.is_some_and(|w| w.contains(nudged)), "{sibling:?}");
+            );
+            // Every feasible stage was rebuilt from a slot, none re-solved.
+            let counters = rec.snapshot().counters;
+            assert!(feasible > 0);
+            assert_eq!(counters.get(keys::SUBCACHE_HITS), Some(&feasible));
+            let solved = counters.get(keys::SUBCACHE_MISSES).copied().unwrap_or(0);
+            assert_eq!(solved, queries - feasible);
+            // A stage past the pipeline has no slot: it is answered (no
+            // budget, so infeasible) and stays uncached.
+            let r = LayerRange::new(3, 6);
+            assert_eq!(cached.stage_times(4, r), None);
+            assert_eq!(cached.stage_times(4, r), None);
+            assert_eq!(
+                cached.cache_stats(),
+                CacheStats {
+                    hits: queries - classes,
+                    misses: classes + 2,
+                }
+            );
         }
-        let sibling = p.isomorphism_violation(0, LayerRange::new(9, 12));
-        assert!(sibling.is_some_and(|w| !w.contains(nudged)), "{sibling:?}");
-        // Unique classes (the embedding-led and head-reaching windows)
-        // have no sibling to differ from.
-        let l = fx.seq.len();
-        assert_eq!(p.isomorphism_violation(0, LayerRange::new(0, 12)), None);
-        assert_eq!(p.isomorphism_violation(3, LayerRange::new(5, l - 1)), None);
-        assert_eq!(
-            p.isomorphism_violation(4, r),
-            None,
-            "no slot past the pipeline"
-        );
-        // The slot `[9..12]` fills holds layer 9's leaf, so its sibling
-        // `[3..6]` is solved at materialize, not rebuilt from it.
-        let (filler, sibling) = (LayerRange::new(9, 12), LayerRange::new(3, 6));
-        assert!(p.stage_times(1, filler).is_some());
-        assert_eq!(
-            p.materialize_stage(1, sibling),
-            p.optimize_stage(1, sibling)
-        );
-        assert_eq!(p.materialize_stage(1, filler), p.optimize_stage(1, filler));
-        let counters = rec.snapshot().counters;
-        assert_eq!(counters.get(keys::SUBCACHE_MISSES), Some(&1));
-        assert_eq!(counters.get(keys::SUBCACHE_HITS), Some(&1));
     }
 
     #[test]
@@ -1144,21 +1152,21 @@ mod tests {
         let provider = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
         let r = LayerRange::new(3, 12);
         let leaf = provider.optimize_stage(1, r).unwrap();
-        let classes = ClassTable::new(fx.seq.len(), 4);
-        let feasible = classes.index(&fx.seq, 1, r).unwrap();
+        let classes = ClassTable::new(&fx.seq, &fx.table, 4);
+        let feasible = classes.index(&fx.seq, &fx.table, 1, r).unwrap();
         let infeasible = 0;
         assert_eq!(classes.get(infeasible), None, "empty");
-        classes.set(infeasible, 0, None);
+        classes.set(infeasible, None);
         assert_eq!(classes.get(infeasible), Some(None));
-        classes.set(feasible, r.first, Some(&leaf));
+        classes.set(feasible, Some(&leaf));
         let times = StageTimes::from(&leaf.cost);
         assert_eq!(classes.get(feasible), Some(Some(times)));
         let chosen = classes.slots()[feasible].get().unwrap().as_ref().unwrap();
         let flags: Vec<bool> = leaf.strategy.iter().collect();
-        assert_eq!((chosen.first, chosen.flags(flags.len())), (r.first, flags));
+        assert_eq!(chosen.flags(flags.len()), flags);
         // A second store of either slot is ignored.
-        classes.set(feasible, 0, None);
-        classes.set(infeasible, r.first, Some(&leaf));
+        classes.set(feasible, None);
+        classes.set(infeasible, Some(&leaf));
         assert_eq!(classes.get(feasible), Some(Some(times)));
         assert_eq!(classes.get(infeasible), Some(None));
     }
@@ -1185,6 +1193,25 @@ mod tests {
         let stats = pooled.cache_stats();
         assert_eq!(stats.misses, convert::usize_u64(computed));
         assert!(stats.hits > 0);
+    }
+
+    #[test]
+    fn prefill_fills_a_lone_empty_class() {
+        let fx = fixture(
+            presets::gpt2_small(),
+            ParallelConfig::new(2, 4, 1).unwrap(),
+            1024,
+        );
+        let provider = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
+        // Two windows of one class: one representative, solved on the
+        // caller, and both windows then hit.
+        let (r, sibling) = (LayerRange::new(3, 12), LayerRange::new(5, 14));
+        let computed = provider.prefill(&ExecPool::new(2), &[(1, r), (1, sibling)]);
+        assert_eq!(computed.unwrap(), 1);
+        assert!(provider.stage_times(1, r).is_some());
+        assert!(provider.stage_times(1, sibling).is_some());
+        let stats = CacheStats { hits: 2, misses: 1 };
+        assert_eq!(provider.cache_stats(), stats);
     }
 
     #[test]

@@ -2,12 +2,14 @@
 //!
 //! A [`KnapsackCostProvider`](crate::KnapsackCostProvider) answers every
 //! knapsack leaf of one planning instance from its isomorphism-class
-//! table. What a leaf reads — the unit profiles of its window, the
-//! static bytes of its layers and the per-stage activation budget — is
-//! fixed by the profile table, the layer sequence, the memory model and
-//! the search capacity; the micro-batch count `n` never enters. So
-//! plans of one instance that differ only in global batch can share one
-//! filled table, and a later plan then runs no knapsack leaf at all.
+//! table, whose classes group the windows of a stage by layer contents.
+//! What a leaf reads — the unit profiles of its window, the static
+//! bytes of its layers and the per-stage activation budget — and the
+//! classes themselves are fixed by the profile table, the layer
+//! sequence, the memory model and the search capacity; the micro-batch
+//! count `n` never enters. So plans of one instance that differ only in
+//! global batch can share one filled table, and a later plan then runs
+//! no knapsack leaf at all.
 //!
 //! A [`ClassTables`] value holds those tables, keyed by
 //! [`instance_digest`], one SHA-256 over everything a leaf reads. The
@@ -15,14 +17,14 @@
 //! (`Planner::with_class_tables` in the `adapipe` crate); one-shot
 //! planners keep a private table per plan.
 //!
-//! Determinism law: a slot holds what a fresh solve of its first window
-//! returns, whichever request filled it, so a shared table answers
+//! Determinism law: a slot holds what a fresh solve of any window of its
+//! class returns, whichever request filled it, so a shared table answers
 //! exactly as a private one would and plans stay byte-identical.
 //!
 //! A [`ClassTables`] holds at most [`CAPACITY`] tables in one exact LRU
 //! (a GPT-3 table at p = 8 is a few hundred kilobytes once filled), with
-//! entries, evictions and slot-array bytes published as `subcache.*`
-//! gauges by [`ClassTables::publish_gauges`].
+//! entries, evictions and the bytes of the class maps and slot arrays
+//! published as `subcache.*` gauges by [`ClassTables::publish_gauges`].
 
 use crate::provider::ClassTable;
 use adapipe_exec::cache::Digest;
@@ -68,7 +70,7 @@ impl ClassTables {
         if let Some(classes) = self.tables.get(&key) {
             return classes;
         }
-        let classes = Arc::new(ClassTable::new(seq.len(), mem.parallel().pipeline()));
+        let classes = Arc::new(ClassTable::new(seq, table, mem.parallel().pipeline()));
         self.tables
             .insert(key, Arc::clone(&classes), classes.bytes());
         classes

@@ -707,6 +707,13 @@ pub mod convert {
         n as u64
     }
 
+    /// Widens a `u32` index to `usize`. Lossless on every supported
+    /// target (usize ≥ 32 bits).
+    #[must_use]
+    pub fn u32_usize(n: u32) -> usize {
+        n as usize
+    }
+
     /// Narrows a `u64` to `usize`, saturating at `usize::MAX` instead of
     /// wrapping — for sizing DP axes from byte quantities, where a
     /// saturated axis is still sound (it only over-allocates).

@@ -12,13 +12,11 @@
 //! the planner re-runs it on every plan it emits in debug builds.
 
 use crate::plan::Plan;
-use crate::planner::{stage_plan, Context, Planner};
+use crate::planner::{stage_plan, Planner};
 use adapipe_check::{
     check_breakdown, check_capacity, check_memory_accounting, check_partition, check_stage_cost,
     check_strategy, check_task_graph, CheckCode, CheckReport, Diagnostic, Severity,
 };
-use adapipe_model::LayerRange;
-use adapipe_partition::KnapsackCostProvider;
 use adapipe_sim::schedule;
 
 /// Tuning for a verification pass.
@@ -138,35 +136,7 @@ impl Planner {
             )),
         }
 
-        if plan.method.is_adaptive() && ranges_in_bounds {
-            report.extend(self.iso_class_check(&ctx, &ranges));
-        }
         report
-    }
-
-    /// §5.3 premise check: the search gave each stage window the leaf
-    /// cost of its isomorphism class, which is its own cost only if every
-    /// window of that class feeds the knapsack the same inputs
-    /// ([`KnapsackCostProvider::isomorphism_violation`]). Solves no
-    /// knapsack.
-    fn iso_class_check(&self, ctx: &Context, ranges: &[LayerRange]) -> Vec<Diagnostic> {
-        let provider =
-            KnapsackCostProvider::new(&ctx.seq, &ctx.table, &ctx.mem, self.search_capacity());
-        ranges
-            .iter()
-            .enumerate()
-            .filter_map(|(s, &r)| {
-                let sibling = provider.isomorphism_violation(s, r)?;
-                Some(Diagnostic::error(
-                    CheckCode::IsoCacheDivergence,
-                    Some(s),
-                    format!(
-                        "window {r} shares its §5.3 class with {sibling}, whose knapsack \
-                         inputs differ"
-                    ),
-                ))
-            })
-            .collect()
     }
 }
 

@@ -96,11 +96,13 @@ fn memory_budget_monotonicity_in_capacity() {
 #[test]
 fn noisy_profiles_still_produce_feasible_plans() {
     // Algorithm 1 fed jittered profiles still finds a feasible 8-stage
-    // plan. The jitter breaks the §5.3 premise — no two layers are the
-    // same knapsack items any more — and the class check must say so
-    // for every interior stage, whose class has siblings.
-    let model = presets::gpt3_175b();
-    let parallel = ParallelConfig::new(8, 8, 1).unwrap();
+    // plan. The jitter makes no two layers the same knapsack items, so
+    // no two windows share a §5.3 class, and every stage carries its
+    // own window's leaf. GPT-3 13B without tensor parallelism must
+    // recompute on its first stage at this length, and its 82 layers
+    // keep a plan of one-window classes cheap in a debug build.
+    let model = presets::gpt3_13b();
+    let parallel = ParallelConfig::new(1, 8, 1).unwrap();
     let train = TrainConfig::new(1, 8192, 64).unwrap();
     let seq = LayerSeq::for_model(&model);
     let mem = MemoryModel::new(model.clone(), parallel, OptimizerSpec::adam_fp32());
@@ -119,10 +121,12 @@ fn noisy_profiles_still_produce_feasible_plans() {
             .expect("noisy profile still feasible");
         assert_eq!(plan.ranges.len(), 8);
         assert!(plan.iteration_time().is_finite());
-        for (s, &r) in plan.ranges.iter().enumerate().take(7).skip(1) {
-            assert!(
-                provider.isomorphism_violation(s, r).is_some(),
-                "seed {seed}: stage {s} {r} not flagged"
+        for (s, (&r, times)) in plan.ranges.iter().zip(&plan.stage_times).enumerate() {
+            let own = provider.optimize_stage(s, r).expect("stage fits");
+            assert_eq!(
+                *times,
+                adapipe_partition::StageTimes::from(&own.cost),
+                "seed {seed}: stage {s} {r}"
             );
         }
     }
