@@ -551,7 +551,6 @@ pub fn serve(mut args: Args) -> Result<String, ConfigError> {
     let flight_dir = args.take("flight-dir").map(std::path::PathBuf::from);
     args.finish()?;
 
-    let defaults = ServeConfig::default();
     let cfg = ServeConfig {
         host: host.clone(),
         port,
@@ -560,9 +559,8 @@ pub fn serve(mut args: Args) -> Result<String, ConfigError> {
         queue_depth,
         default_deadline: deadline_ms.map(|ms| MicroSecs::new(ms * 1e3)),
         plan_delay: plan_delay_ms.map(Duration::from_millis),
-        trace_capacity: trace_capacity.unwrap_or(defaults.trace_capacity),
+        trace_capacity: trace_capacity.unwrap_or(ServeConfig::default().trace_capacity),
         flight_dir,
-        ..defaults
     };
     let server = Server::bind(cfg, Recorder::new())
         .map_err(|e| ConfigError::Domain(format!("cannot bind {host}:{port}: {e}")))?;

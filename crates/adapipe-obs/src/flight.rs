@@ -23,7 +23,8 @@ use std::time::Instant;
 
 use crate::report::{escape_json, json_num};
 
-/// Default ring capacity when none is configured.
+/// Ring capacity (events retained for dumps) of the daemon's and the
+/// CLI's flight recorders.
 pub const DEFAULT_CAPACITY: usize = 256;
 
 /// One recorded event.

@@ -25,11 +25,11 @@
 //! On top of those, two engine-level accelerations (docs/parallel.md)
 //! keep plans byte-identical while cutting cold-plan latency:
 //!
-//! * **Parallel leaf prefill** — [`KnapsackCostProvider::prefill`] fans
-//!   the isomorphism-class representatives of
-//!   [`algorithm1::reachable_windows`] out over an
-//!   [`adapipe_exec::ExecPool`]; the DP then runs serially against a
-//!   fully warmed cache.
+//! * **Parallel leaf prefill** — [`KnapsackCostProvider::sweep`] streams
+//!   every window the DP can query ([`algorithm1::reachable`]) through
+//!   [`KnapsackCostProvider::prefill`], which fans the isomorphism-class
+//!   representatives out over an [`adapipe_exec::ExecPool`]; the DP then
+//!   runs serially against a fully warmed cache.
 //! * **Shared class tables** — a [`subcache::ClassTables`] keeps the
 //!   filled class table of each planning instance, keyed by one digest
 //!   of everything a leaf reads, so the daemon's plans of one instance

@@ -23,6 +23,7 @@ use adapipe_recompute::{
     optimize, optimize_exhaustive, KnapsackConfig, OptimizedStage, RecomputeStrategy, StrategyError,
 };
 use adapipe_units::{convert, Bytes};
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -106,9 +107,11 @@ impl Chosen {
 /// is: there the classes are exactly its (first-layer kind, length,
 /// reaches the last layer) triples.
 ///
-/// Windows are numbered by content ([`number_windows`]), and the class
-/// of every window sits in one flat `Vec<u32>` (4 B per window: ~74 KB
-/// for GPT-3's L = 194); a slot is indexed `stage × classes + class`.
+/// [`ClassTable::new`] numbers the windows by content in one pass
+/// ([`number_windows`]) and builds the table whole: the class of every
+/// window in one flat `Vec<u32>` (4 B per window: ~74 KB for GPT-3's
+/// L = 194) and every slot, empty; a slot is indexed `stage × classes +
+/// class`.
 /// Queries the table has no slot for — a stage past the pipeline or a
 /// window past the sequence — are answered uncached.
 ///
@@ -118,18 +121,11 @@ impl Chosen {
 /// instead of solving it again. Racing writers of one class store
 /// identical leaves (leaves are pure); the loser's is dropped.
 ///
-/// The table counts its classes when built, but allocates the class
-/// map and the slots on first use, which in a plan comes after the
-/// prefill's window list. Allocated with the table, the class map
-/// raised the paper-scale daemon's peak RSS from 14.5–14.9 to 16.3–16.5
-/// MB, and the map with the slots to 18.0–18.3 MB (allocator
-/// fragmentation; `perfbench` `serve-paper-miss` on a 2-core host).
-///
 /// A table serves exactly one instance, so once a prefill over
-/// [`algorithm1::reachable_windows`](crate::algorithm1::reachable_windows)
-/// has returned, every slot Algorithm 1 can query is filled and the
-/// table is *swept*: a later prefill would scan ~120k windows only to
-/// find that ([`KnapsackCostProvider::sweep`]).
+/// [`algorithm1::reachable`](crate::algorithm1::reachable) has
+/// returned, every slot Algorithm 1 can query is filled and the table
+/// is *swept*: a later prefill would scan ~120k windows only to find
+/// that ([`KnapsackCostProvider::sweep`]).
 #[derive(Debug)]
 pub(crate) struct ClassTable {
     layers: usize,
@@ -137,32 +133,24 @@ pub(crate) struct ClassTable {
     classes: usize,
     /// The class of every window, length by length: window `[first ..
     /// first + len)` at [`ClassTable::window`]`(first, len)`.
-    class_of: OnceLock<Vec<u32>>,
-    slots: OnceLock<Vec<OnceLock<Option<Chosen>>>>,
+    class_of: Vec<u32>,
+    slots: Vec<OnceLock<Option<Chosen>>>,
     swept: AtomicBool,
 }
 
 impl ClassTable {
-    /// The table for `stages` stages of `seq`, profiled in `table`.
+    /// The table for `stages` stages of `seq`, profiled in `table`,
+    /// with every slot empty.
     pub(crate) fn new(seq: &LayerSeq, table: &ProfileTable, stages: usize) -> Self {
+        let (class_of, classes) = number_windows(&layer_shapes(seq, table));
         ClassTable {
             layers: seq.len(),
             stages,
-            classes: number_windows(&layer_shapes(seq, table), |_| {}),
-            class_of: OnceLock::new(),
-            slots: OnceLock::new(),
+            classes,
+            class_of,
+            slots: (0..stages * classes).map(|_| OnceLock::new()).collect(),
             swept: AtomicBool::new(false),
         }
-    }
-
-    /// The class map of `seq` profiled in `table`: the instance the
-    /// table was built for, whichever of its providers asks first.
-    fn class_of(&self, seq: &LayerSeq, table: &ProfileTable) -> &[u32] {
-        self.class_of.get_or_init(|| {
-            let mut class_of = Vec::with_capacity(self.layers * (self.layers + 1) / 2);
-            number_windows(&layer_shapes(seq, table), |class| class_of.push(class));
-            class_of
-        })
     }
 
     /// Where window `[first .. first + len)` of a `layers`-layer
@@ -172,50 +160,35 @@ impl ClassTable {
         (len - 1) * (2 * layers + 2 - len) / 2 + first
     }
 
-    fn len(&self) -> usize {
-        self.stages * self.classes
-    }
-
     /// Bytes of the class map and the slot array (the flags of filled
     /// slots come on top).
     pub(crate) fn bytes(&self) -> u64 {
         let slot = std::mem::size_of::<OnceLock<Option<Chosen>>>();
-        let map = self.layers * (self.layers + 1) / 2 * std::mem::size_of::<u32>();
-        convert::usize_u64(map + self.len() * slot)
-    }
-
-    fn slots(&self) -> &[OnceLock<Option<Chosen>>] {
-        self.slots
-            .get_or_init(|| (0..self.len()).map(|_| OnceLock::new()).collect())
+        let map = self.class_of.len() * std::mem::size_of::<u32>();
+        convert::usize_u64(map + self.slots.len() * slot)
     }
 
     /// The slot of `(stage, range)`'s class, if it has one.
-    fn index(
-        &self,
-        seq: &LayerSeq,
-        table: &ProfileTable,
-        stage: usize,
-        range: LayerRange,
-    ) -> Option<usize> {
+    fn index(&self, stage: usize, range: LayerRange) -> Option<usize> {
         if stage >= self.stages || range.last >= self.layers {
             return None;
         }
         let window = Self::window(self.layers, range.first, range.len());
-        let class = *self.class_of(seq, table).get(window)?;
+        let class = *self.class_of.get(window)?;
         Some(stage * self.classes + convert::u32_usize(class))
     }
 
     /// The cached answer in `slot`: `None` while empty, `Some(None)`
     /// for an infeasible leaf.
     fn get(&self, slot: usize) -> Option<Option<StageTimes>> {
-        let leaf = self.slots()[slot].get()?;
+        let leaf = self.slots[slot].get()?;
         Some(leaf.as_ref().map(|chosen| chosen.times))
     }
 
     /// Stores `leaf` in `slot`, unless the slot is already filled.
     fn set(&self, slot: usize, leaf: Option<&OptimizedStage>) {
         // A racing writer of the class stored the same leaf.
-        let _same = self.slots()[slot].set(leaf.map(Chosen::new));
+        let _same = self.slots[slot].set(leaf.map(Chosen::new));
     }
 }
 
@@ -349,7 +322,7 @@ impl<'a> KnapsackCostProvider<'a> {
         stage: usize,
         range: LayerRange,
     ) -> Result<OptimizedStage, StrategyError> {
-        let slot = self.classes().index(self.seq, self.table, stage, range);
+        let slot = self.classes().index(stage, range);
         if let Some(opt) = slot.and_then(|slot| self.rebuild(slot, stage, range)) {
             self.rec.incr(keys::SUBCACHE_HITS);
             return Ok(opt);
@@ -361,7 +334,7 @@ impl<'a> KnapsackCostProvider<'a> {
     /// `range`'s stage rebuilt from `slot`'s flags, if the slot holds a
     /// feasible leaf.
     fn rebuild(&self, slot: usize, stage: usize, range: LayerRange) -> Option<OptimizedStage> {
-        let chosen = self.classes().slots()[slot].get()?.as_ref()?;
+        let chosen = self.classes().slots[slot].get()?.as_ref()?;
         let budget = self.budget(stage, range)?;
         let units = self.table.units_in(range);
         let strategy = RecomputeStrategy::from_flags(&units, chosen.flags(units.len()));
@@ -382,7 +355,10 @@ impl<'a> KnapsackCostProvider<'a> {
     /// every isomorphism class among `windows` that is not cached yet,
     /// so a following serial [`algorithm1::solve_traced`](crate::algorithm1::solve_traced)
     /// run answers every query from the cache. Returns how many leaves
-    /// were computed. Pair with
+    /// were computed. `windows` is any sequence of `(stage, window)`
+    /// pairs, by value or by reference: the stream of
+    /// [`algorithm1::reachable`](crate::algorithm1::reachable) (what
+    /// [`KnapsackCostProvider::sweep`] passes) or a list such as
     /// [`algorithm1::reachable_windows`](crate::algorithm1::reachable_windows);
     /// over-approximation only costs extra cached leaves, never a
     /// different plan — the DP itself stays serial and the leaves are
@@ -395,19 +371,20 @@ impl<'a> KnapsackCostProvider<'a> {
     /// # Errors
     ///
     /// Propagates [`ExecError`] if a pooled leaf evaluation panicked.
-    pub fn prefill(
-        &self,
-        pool: &ExecPool,
-        windows: &[(usize, LayerRange)],
-    ) -> Result<usize, ExecError> {
+    pub fn prefill<W>(&self, pool: &ExecPool, windows: W) -> Result<usize, ExecError>
+    where
+        W: IntoIterator,
+        W::Item: Borrow<(usize, LayerRange)>,
+    {
         if pool.threads() < 2 {
             return Ok(0);
         }
         let classes = self.classes();
-        let mut claimed = vec![false; classes.len()];
+        let mut claimed = vec![false; classes.slots.len()];
         let mut reps: Vec<(usize, usize, LayerRange)> = Vec::new();
-        for &(stage, range) in windows {
-            let Some(slot) = classes.index(self.seq, self.table, stage, range) else {
+        for window in windows {
+            let &(stage, range) = window.borrow();
+            let Some(slot) = classes.index(stage, range) else {
                 continue;
             };
             if !claimed[slot] && classes.get(slot).is_none() {
@@ -434,14 +411,14 @@ impl<'a> KnapsackCostProvider<'a> {
         self.classes().swept.load(Ordering::Acquire)
     }
 
-    /// [`KnapsackCostProvider::prefill`] over every window
+    /// [`KnapsackCostProvider::prefill`] over the stream of every window
     /// [`algorithm1::solve_traced`](crate::algorithm1::solve_traced) can
     /// query for this provider's instance
-    /// ([`algorithm1::reachable_windows`](crate::algorithm1::reachable_windows)),
-    /// which marks the class table swept once it returns `Ok`. Check
-    /// [`KnapsackCostProvider::is_swept`] first: a swept table needs no
-    /// second scan. A no-op (0 computed, table not swept) on a pool of
-    /// one worker, like `prefill`.
+    /// ([`algorithm1::reachable`](crate::algorithm1::reachable), never
+    /// collected into a list), which marks the class table swept once
+    /// it returns `Ok`. Check [`KnapsackCostProvider::is_swept`] first: a
+    /// swept table needs no second scan. A no-op (0 computed, table not
+    /// swept) on a pool of one worker, like `prefill`.
     ///
     /// # Errors
     ///
@@ -451,13 +428,13 @@ impl<'a> KnapsackCostProvider<'a> {
     ///
     /// On a pool of two or more workers, panics if the pipeline has
     /// more stages than the sequence has layers, as
-    /// [`algorithm1::reachable_windows`](crate::algorithm1::reachable_windows) does.
+    /// [`algorithm1::reachable`](crate::algorithm1::reachable) does.
     pub fn sweep(&self, pool: &ExecPool) -> Result<usize, ExecError> {
         if pool.threads() < 2 {
             return Ok(0);
         }
-        let windows = crate::algorithm1::reachable_windows(self.seq.len(), self.classes().stages);
-        let computed = self.prefill(pool, &windows)?;
+        let windows = crate::algorithm1::reachable(self.seq.len(), self.classes().stages);
+        let computed = self.prefill(pool, windows)?;
         // `pool.map` has joined every slot store; this Release pairs
         // with the Acquire in `is_swept`.
         self.classes().swept.store(true, Ordering::Release);
@@ -479,7 +456,7 @@ impl<'a> KnapsackCostProvider<'a> {
 impl StageCostProvider for KnapsackCostProvider<'_> {
     fn stage_times(&self, stage: usize, range: LayerRange) -> Option<StageTimes> {
         let classes = self.classes();
-        let slot = classes.index(self.seq, self.table, stage, range);
+        let slot = classes.index(stage, range);
         if let Some(cached) = slot.and_then(|slot| classes.get(slot)) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return cached;
@@ -535,26 +512,28 @@ fn layer_shapes(seq: &LayerSeq, table: &ProfileTable) -> Vec<usize> {
 /// `shapes` ([`layer_shapes`]), length by length and, within a length,
 /// by first layer: a window's class interns the pair (class of the
 /// window one layer shorter, shape of its last layer), so two windows
-/// share a class exactly when their layers' shapes are equal. Calls
-/// `each` with every window's class in that order and returns the
-/// number of classes.
-fn number_windows(shapes: &[usize], mut each: impl FnMut(u32)) -> usize {
+/// share a class exactly when their layers' shapes are equal. Returns
+/// every window's class in that order (the class map) and the number of
+/// classes.
+fn number_windows(shapes: &[usize]) -> (Vec<u32>, usize) {
     // An empty bucket: no layer has shape `u32::MAX`.
     const EMPTY: u64 = u64::MAX;
     let layers = shapes.len();
-    let (mut shorter, mut row) = (Vec::with_capacity(layers), Vec::with_capacity(layers));
+    let mut class_of = Vec::with_capacity(layers * (layers + 1) / 2);
     // Per length, an open-addressing table of (pair, class): a
     // `HashMap` took 0.4–0.7 ms per table, mostly hashing.
     let mut buckets: Vec<(u64, u32)> = Vec::new();
     let mut classes = 0u32;
+    // Where the windows one layer shorter start in `class_of`.
+    let mut shorter: Option<usize> = None;
     for len in 1..=layers {
         let windows = layers - len + 1;
         let bits = (2 * windows).next_power_of_two().trailing_zeros();
         buckets.clear();
         buckets.resize(1 << bits, (EMPTY, 0));
-        row.clear();
+        let row = class_of.len();
         for first in 0..windows {
-            let prefix = shorter.get(first).copied().unwrap_or(u32::MAX);
+            let prefix = shorter.map_or(u32::MAX, |start| class_of[start + first]);
             let pair = u64::from(prefix) << 32 | convert::usize_u64(shapes[first + len - 1]);
             let hash = pair.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits);
             let mut at = convert::u64_usize_saturating(hash);
@@ -569,12 +548,11 @@ fn number_windows(shapes: &[usize], mut each: impl FnMut(u32)) -> usize {
                     _ => at = (at + 1) & (buckets.len() - 1),
                 }
             };
-            row.push(class);
-            each(class);
+            class_of.push(class);
         }
-        std::mem::swap(&mut shorter, &mut row);
+        shorter = Some(row);
     }
-    convert::u32_usize(classes)
+    (class_of, convert::u32_usize(classes))
 }
 
 /// Whether two layers' units are the same knapsack items: equal kinds
@@ -1153,7 +1131,16 @@ mod tests {
         let r = LayerRange::new(3, 12);
         let leaf = provider.optimize_stage(1, r).unwrap();
         let classes = ClassTable::new(&fx.seq, &fx.table, 4);
-        let feasible = classes.index(&fx.seq, &fx.table, 1, r).unwrap();
+        // The table is whole once built: a class for every window and a
+        // slot per stage and class, and `bytes` counts exactly those.
+        let l = fx.seq.len();
+        assert_eq!(classes.class_of.len(), l * (l + 1) / 2);
+        assert_eq!(classes.slots.len(), 4 * classes.classes);
+        let slot = std::mem::size_of::<OnceLock<Option<Chosen>>>();
+        let whole =
+            classes.class_of.len() * std::mem::size_of::<u32>() + classes.slots.len() * slot;
+        assert_eq!(classes.bytes(), convert::usize_u64(whole));
+        let feasible = classes.index(1, r).unwrap();
         let infeasible = 0;
         assert_eq!(classes.get(infeasible), None, "empty");
         classes.set(infeasible, None);
@@ -1161,7 +1148,7 @@ mod tests {
         classes.set(feasible, Some(&leaf));
         let times = StageTimes::from(&leaf.cost);
         assert_eq!(classes.get(feasible), Some(Some(times)));
-        let chosen = classes.slots()[feasible].get().unwrap().as_ref().unwrap();
+        let chosen = classes.slots[feasible].get().unwrap().as_ref().unwrap();
         let flags: Vec<bool> = leaf.strategy.iter().collect();
         assert_eq!(chosen.flags(flags.len()), flags);
         // A second store of either slot is ignored.
@@ -1181,18 +1168,27 @@ mod tests {
         let pool = ExecPool::new(4);
         let l = fx.seq.len();
         let (p, n) = (4usize, 16usize);
-        let serial = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
-        let pooled = KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
+        let provider =
+            || KnapsackCostProvider::new(&fx.seq, &fx.table, &fx.mem, Bytes::from_gib(80));
+        let serial = provider();
+        // One enumeration in its two shapes: the collected list, and
+        // the stream `sweep` passes.
+        let listed = provider();
         let windows = crate::algorithm1::reachable_windows(l, p);
-        let computed = pooled.prefill(&pool, &windows).unwrap();
+        let computed = listed.prefill(&pool, &windows).unwrap();
         assert!(computed > 0, "prefill must evaluate representatives");
+        let streamed = provider();
+        assert_eq!(streamed.sweep(&pool).unwrap(), computed);
         let a = crate::algorithm1::solve_traced(&serial, l, p, n, &Recorder::disabled());
-        let b = crate::algorithm1::solve_traced(&pooled, l, p, n, &Recorder::disabled());
+        let b = crate::algorithm1::solve_traced(&listed, l, p, n, &Recorder::disabled());
+        let c = crate::algorithm1::solve_traced(&streamed, l, p, n, &Recorder::disabled());
         assert_eq!(a, b, "prefilled solve must be identical");
+        assert_eq!(a, c, "swept solve must be identical");
         // Every query the DP made after prefill was a cache hit.
-        let stats = pooled.cache_stats();
+        let stats = listed.cache_stats();
         assert_eq!(stats.misses, convert::usize_u64(computed));
         assert!(stats.hits > 0);
+        assert_eq!(streamed.cache_stats(), stats);
     }
 
     #[test]
@@ -1206,7 +1202,7 @@ mod tests {
         // Two windows of one class: one representative, solved on the
         // caller, and both windows then hit.
         let (r, sibling) = (LayerRange::new(3, 12), LayerRange::new(5, 14));
-        let computed = provider.prefill(&ExecPool::new(2), &[(1, r), (1, sibling)]);
+        let computed = provider.prefill(&ExecPool::new(2), [(1, r), (1, sibling)]);
         assert_eq!(computed.unwrap(), 1);
         assert!(provider.stage_times(1, r).is_some());
         assert!(provider.stage_times(1, sibling).is_some());

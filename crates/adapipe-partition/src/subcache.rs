@@ -58,7 +58,8 @@ impl Default for ClassTables {
 }
 
 impl ClassTables {
-    /// The table of the instance, inserted empty on first use.
+    /// The table of the instance. Its first request builds it whole,
+    /// every slot empty, and inserts it.
     pub(crate) fn table_for(
         &self,
         seq: &LayerSeq,

@@ -112,8 +112,6 @@ pub struct ServeConfig {
     /// How many request traces `GET /v1/trace/{id}` retains (least
     /// recently stored or fetched evicted first).
     pub trace_capacity: usize,
-    /// Flight-recorder ring capacity (events retained for dumps).
-    pub flight_capacity: usize,
     /// Directory flight dumps are written into (`flight-<reason>.json`)
     /// on incidents and `POST /admin/dump`; `None` disables artifacts
     /// (the in-memory ring still records).
@@ -131,7 +129,6 @@ impl Default for ServeConfig {
             default_deadline: None,
             plan_delay: None,
             trace_capacity: 64,
-            flight_capacity: flight::DEFAULT_CAPACITY,
             flight_dir: None,
         }
     }
@@ -321,7 +318,7 @@ impl Server {
             queue: BoundedQueue::new(cfg.queue_depth),
             rec,
             traces: LruCache::new(cfg.trace_capacity),
-            flight: FlightRecorder::new(cfg.flight_capacity),
+            flight: FlightRecorder::new(flight::DEFAULT_CAPACITY),
             trace_seq: AtomicU64::new(1),
             busy: AtomicUsize::new(0),
             watchdog: Watchdog::default(),

@@ -90,10 +90,12 @@ fn require_shape(family: Family, p: usize, n: usize) {
     }
 }
 
-/// Script position of op (`kind`, micro-batch `m`) in stage `s`'s 1F1B
-/// queue: `p − s − 1` warmup forwards, alternating steady phase, backward
-/// drain.
-fn f1b_script_pos(kind: OpKind, m: usize, s: usize, p: usize, n: usize) -> u64 {
+/// Position of op (`kind`, micro-batch `m`) in stage `s`'s 1F1B script
+/// (§2.1), the one statement of the order both [`one_f_one_b`] and the
+/// threaded trainer run: `w = min(p − s − 1, n)` warmup forwards, then
+/// forward and backward alternate, then the last `w` backwards drain.
+#[must_use]
+pub fn f1b_position(kind: OpKind, m: usize, s: usize, p: usize, n: usize) -> u64 {
     let w = (p - s - 1).min(n); // warmup forwards
     let pos = match kind {
         OpKind::Forward => {
@@ -145,7 +147,7 @@ pub fn one_f_one_b(stages: &[StageExec], n: usize, p2p: MicroSecs) -> TaskGraph 
                 deps,
                 stages[s].saved_bytes,
                 Bytes::ZERO,
-                f1b_script_pos(OpKind::Forward, m, s, p, n),
+                f1b_position(OpKind::Forward, m, s, p, n),
                 TaskMeta {
                     kind: OpKind::Forward,
                     micro_batch: m,
@@ -169,7 +171,7 @@ pub fn one_f_one_b(stages: &[StageExec], n: usize, p2p: MicroSecs) -> TaskGraph 
                 deps,
                 stages[s].buffer_bytes,
                 stages[s].buffer_bytes.saturating_add(stages[s].saved_bytes),
-                f1b_script_pos(OpKind::Backward, m, s, p, n),
+                f1b_position(OpKind::Backward, m, s, p, n),
                 TaskMeta {
                     kind: OpKind::Backward,
                     micro_batch: m,
@@ -570,7 +572,7 @@ mod tests {
             let mut seen = vec![false; 2 * n];
             for m in 0..n {
                 for kind in [OpKind::Forward, OpKind::Backward] {
-                    let pos = f1b_script_pos(kind, m, s, p, n) as usize;
+                    let pos = f1b_position(kind, m, s, p, n) as usize;
                     assert!(!seen[pos], "stage {s}: position {pos} duplicated");
                     seen[pos] = true;
                 }

@@ -22,6 +22,8 @@ use crate::tape::Tape;
 use crate::tensor::Tensor;
 use crate::units::Optimizer;
 use adapipe_faults::DegradationEvent;
+use adapipe_sim::schedule::f1b_position;
+use adapipe_sim::OpKind;
 use adapipe_units::{Bytes, MicroSecs};
 use std::collections::VecDeque;
 use std::sync::mpsc;
@@ -55,28 +57,13 @@ impl TrainWatchdog {
     }
 }
 
-/// Forward or backward slot in the per-stage script.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Op {
-    Fwd(usize),
-    Bwd(usize),
-}
-
-/// The 1F1B per-stage script (§2.1): stage `s` of `p` runs
-/// `p − s − 1` warmup forwards, alternates F/B, then drains backwards.
-fn f1b_script(p: usize, s: usize, n: usize) -> Vec<Op> {
-    let w = (p - s - 1).min(n);
-    let mut ops = Vec::with_capacity(2 * n);
-    for m in 0..w {
-        ops.push(Op::Fwd(m));
-    }
-    for k in 0..n - w {
-        ops.push(Op::Fwd(w + k));
-        ops.push(Op::Bwd(k));
-    }
-    for k in n - w..n {
-        ops.push(Op::Bwd(k));
-    }
+/// Stage `s`'s ops in 1F1B script order ([`f1b_position`]), each a kind
+/// and a micro-batch.
+fn f1b_script(p: usize, s: usize, n: usize) -> Vec<(OpKind, usize)> {
+    let mut ops: Vec<_> = (0..n)
+        .flat_map(|m| [(OpKind::Forward, m), (OpKind::Backward, m)])
+        .collect();
+    ops.sort_by_key(|&(kind, m)| f1b_position(kind, m, s, p, n));
     ops
 }
 
@@ -159,7 +146,6 @@ pub fn train_iteration_watched(
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for (s, stage) in stages.iter_mut().enumerate() {
-            let script = f1b_script(p, s, n);
             let fwd_in = fwd_rx[s].take();
             let fwd_out = fwd_tx[s].take();
             let bwd_in = bwd_rx[s].take();
@@ -196,9 +182,9 @@ pub fn train_iteration_watched(
                     };
                 let is_first = s == 0;
                 let is_last = s == p - 1;
-                for op in script {
-                    match op {
-                        Op::Fwd(m) => {
+                for (kind, m) in f1b_script(p, s, n) {
+                    match kind {
+                        OpKind::Forward => {
                             let ctx = ExecCtx {
                                 step,
                                 micro_batch: m,
@@ -237,7 +223,7 @@ pub fn train_iteration_watched(
                                 pending_grads.push_back((m, tape.grad(logits)));
                             }
                         }
-                        Op::Bwd(m) => {
+                        OpKind::Backward => {
                             let grad = if is_last {
                                 let (gm, g) = pending_grads
                                     .pop_front()
@@ -350,20 +336,24 @@ mod tests {
     #[test]
     fn f1b_script_covers_all_ops_in_order() {
         let script = f1b_script(3, 0, 5);
-        assert_eq!(script.len(), 10);
-        let fwds: Vec<usize> = script
-            .iter()
-            .filter_map(|op| if let Op::Fwd(m) = op { Some(*m) } else { None })
-            .collect();
-        let bwds: Vec<usize> = script
-            .iter()
-            .filter_map(|op| if let Op::Bwd(m) = op { Some(*m) } else { None })
-            .collect();
-        assert_eq!(fwds, vec![0, 1, 2, 3, 4]);
-        assert_eq!(bwds, vec![0, 1, 2, 3, 4]);
-        // Warmup of stage 0 in a 3-stage pipe is 2 forwards.
-        assert_eq!(&script[..3], &[Op::Fwd(0), Op::Fwd(1), Op::Fwd(2)][..]);
-        assert_eq!(script[3], Op::Bwd(0));
+        let (f, b) = (OpKind::Forward, OpKind::Backward);
+        // Two warmup forwards on stage 0 of a 3-stage pipe, then F/B
+        // alternation, then the backward drain.
+        assert_eq!(
+            script,
+            [
+                (f, 0),
+                (f, 1),
+                (f, 2),
+                (b, 0),
+                (f, 3),
+                (b, 1),
+                (f, 4),
+                (b, 2),
+                (b, 3),
+                (b, 4)
+            ]
+        );
     }
 
     #[test]
